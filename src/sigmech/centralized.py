@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .lp import EQUAL, GREATER, LESS, Constraint, LinearProgram, LpStatus, solve
+from .lp import EQUAL, GREATER, LESS, LinearProgram, LpStatus, solve
 from .model import (
     CentralizedMechanism,
     CustomerStrategy,
@@ -36,40 +36,46 @@ def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearP
     num_locs = system.num_locations
     num_states = system.state_count
     num_actions = num_locs + 1
-    n_vars = num_states * num_actions
     mu = system.joint_vector
     util = system.utility_matrix  # (states, K)
+    mass = (mu[:, None] * util).T  # (K, states): mu(w) u_k(w)
+    locs = np.arange(num_locs)
 
-    def var(state: int, action: int) -> int:
-        return state * num_actions + action
+    weights = np.asarray(system.payoffs if weighted else np.ones(num_locs))
+    objective = np.zeros((num_states, num_actions))
+    objective[:, 1:] = mu[:, None] * weights
 
-    objective = np.zeros(n_vars)
-    weights = system.payoffs if weighted else (1.0,) * num_locs
+    # Each row block is viewed as (rows, state, action) to fill by index.
+    num_dev = num_locs * num_locs
+    matrix = np.zeros((num_dev + 2 * num_locs + num_states, num_states * num_actions))
+    deviation = matrix[:num_dev].reshape(num_locs, num_locs, num_states, num_actions)
     for k in range(num_locs):
-        objective[np.arange(num_states) * num_actions + (k + 1)] = mu * weights[k]
+        deviation[k, :, :, k + 1] = (mu[:, None] * (util[:, k : k + 1] - util)).T
+    join = matrix[num_dev : num_dev + num_locs].reshape(num_locs, num_states, num_actions)
+    join[locs, :, locs + 1] = mass
+    leave = matrix[num_dev + num_locs : num_dev + 2 * num_locs]
+    leave.reshape(num_locs, num_states, num_actions)[:, :, 0] = mass
+    rowsum = matrix[num_dev + 2 * num_locs :].reshape(num_states, num_states, num_actions)
+    rowsum[np.arange(num_states), np.arange(num_states), :] = 1.0
 
-    constraints = []
-    for k in range(num_locs):
-        for other in range(num_locs):
-            row = np.zeros(n_vars)
-            row[np.arange(num_states) * num_actions + (k + 1)] = mu * (
-                util[:, k] - util[:, other]
-            )
-            constraints.append(Constraint(tuple(row), GREATER, 0.0))
-    for k in range(num_locs):
-        row = np.zeros(n_vars)
-        row[np.arange(num_states) * num_actions + (k + 1)] = mu * util[:, k]
-        constraints.append(Constraint(tuple(row), GREATER, 0.0))
-    for k in range(num_locs):
-        row = np.zeros(n_vars)
-        row[np.arange(num_states) * num_actions] = mu * util[:, k]
-        constraints.append(Constraint(tuple(row), LESS, 0.0))
-    for state in range(num_states):
-        row = np.zeros(n_vars)
-        row[state * num_actions : (state + 1) * num_actions] = 1.0
-        constraints.append(Constraint(tuple(row), EQUAL, 1.0))
+    relations = [GREATER] * (num_dev + num_locs) + [LESS] * num_locs + [EQUAL] * num_states
+    rhs = np.zeros(matrix.shape[0])
+    rhs[num_dev + 2 * num_locs :] = 1.0
+    return LinearProgram(objective.reshape(-1), matrix, relations, rhs)
 
-    return LinearProgram(n_vars, tuple(objective), tuple(constraints))
+
+def uninformative_basis(system: SystemModel) -> np.ndarray:
+    """Variable x(w, a*) for every state w: the same recommendation everywhere.
+
+    a* is the location with the largest prior-mean utility if that mean
+    is positive, else 0 (leave).  Following a* is then a best response
+    to the prior, so this point satisfies every obedience row, for any
+    prior and objective, and is a feasible basis of the obedience LP.
+    """
+    means = system.joint_vector @ system.utility_matrix
+    best = int(np.argmax(means))
+    action = best + 1 if means[best] > 0.0 else 0
+    return np.arange(system.state_count) * (system.num_locations + 1) + action
 
 
 def obedient_strategy(num_locations: int) -> CustomerStrategy:
@@ -84,16 +90,18 @@ def solve_centralized(
 ) -> tuple[CentralizedMechanism, EvaluationReport]:
     """Optimal direct mechanism and its evaluation under obedience.
 
-    The report's throughput (unweighted) or value (weighted) matches the
-    LP optimum; infeasible or unbounded statuses indicate a bug because
-    always-recommending 0 is feasible and the objective is bounded.
+    The simplex starts from the uninformative recommendation (see
+    :func:`uninformative_basis`), which is always feasible.  The report's
+    throughput (unweighted) or value (weighted) matches the LP optimum;
+    an unbounded status indicates a bug because every variable lies in
+    [0, 1].
     """
     lp = build_centralized_lp(system, weighted)
-    solution = solve(lp)
+    solution = solve(lp, uninformative_basis(system))
     if solution.status is not LpStatus.OPTIMAL:
         raise SolverError(
             f"centralized LP reported {solution.status.value}; it must be "
-            "feasible (always send 0) and bounded"
+            "bounded, and feasible at the uninformative recommendation"
         )
     num_actions = system.num_locations + 1
     table = np.asarray(solution.x).reshape(system.state_count, num_actions)

@@ -5,7 +5,7 @@ constants to CSV.
 Exit codes: 0 success, 1 verify-suite failure, 2 parse/validation error,
 3 precondition error (e.g. payoff-weighted mode without negative
 prior-mean utilities, or decentralized mode on a joint-prior instance
-without --fallback).
+without --fallback), 4 LP solver failure.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .model import (
     DecentralizedMechanism,
     InputError,
     PreconditionError,
+    SolverError,
     SystemModel,
     binary_mechanism,
     require_valid,
@@ -118,7 +119,17 @@ def _decentralized_lines(system: SystemModel, mech: DecentralizedMechanism) -> l
     return lines
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that reports a solver failure as one line and exit code 4."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SolverError as err:
+            _fail(f"LP solver failed: {err}", 4)
+
+
+@click.group(cls=_Main)
 @click.option("--tolerance", type=float, default=1e-7, show_default=True,
               help="Slack tolerance for guarantee checks.")
 @click.option("--summary", is_flag=True, help="Suppress mechanism tables.")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .lp import GREATER, Constraint, LinearProgram, LpStatus, solve
+from .lp import GREATER, LinearProgram, LpStatus, solve
 from .model import (
     PROB_TOL,
     ZERO_MASS,
@@ -69,12 +69,16 @@ def solve_isolated(location: LocationModel, index: int = 0) -> IsolatedSolution:
     prior = location.prior_array()
     util = location.utility_array()
     n = location.num_states
-    weighted = tuple(prior * util)
-    constraints = (
-        Constraint(weighted, GREATER, 0.0),
-        Constraint(weighted, GREATER, float(np.dot(prior, util))),
+    weighted = prior * util
+    bounds = np.zeros((n, 2))
+    bounds[:, 1] = 1.0
+    lp = LinearProgram(
+        prior,
+        np.array([weighted, weighted]),
+        (GREATER, GREATER),
+        (0.0, float(np.dot(prior, util))),
+        bounds,
     )
-    lp = LinearProgram(n, tuple(prior), constraints, ((0.0, 1.0),) * n)
     solution = solve(lp)
     if solution.status is not LpStatus.OPTIMAL:
         raise SolverError(

@@ -1,13 +1,25 @@
 """Centralized LP construction and solution tests."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmech.bounds import make_correlated_instance, make_tightness_instance
-from sigmech.centralized import build_centralized_lp, obedient_strategy, solve_centralized
+import sigmech
+from sigmech.centralized import (
+    build_centralized_lp,
+    obedient_strategy,
+    solve_centralized,
+    uninformative_basis,
+)
 from sigmech.decentralized import compose_optimal
-from sigmech.instances import random_independent_system
-from sigmech.lp import EQUAL, GREATER, LESS
+from sigmech.instances import random_independent_system, random_joint_system
+from sigmech.lp import EQUAL, GREATER, LESS, LpStatus, solve, violation_at
 from sigmech.model import LocationModel, SystemModel
 from sigmech.oracle import best_response, evaluate, full_information, no_information
 
@@ -20,8 +32,8 @@ def single_location(p=0.2):
 
 def _constraint_counts(lp):
     kinds = {LESS: 0, GREATER: 0, EQUAL: 0}
-    for con in lp.constraints:
-        kinds[con.relation] += 1
+    for relation in lp.relations:
+        kinds[relation] += 1
     return kinds
 
 
@@ -168,3 +180,132 @@ def test_lp_optimum_matches_vertex_enumeration_on_tiny_systems():
         _, report = solve_centralized(system)
         assert oracle_value is not None
         assert abs(report.throughput - oracle_value) <= 1e-7
+
+
+def _random_system(seed: int, kind: str) -> SystemModel:
+    rng = np.random.default_rng(seed)
+    if kind == "joint":
+        return random_joint_system(rng, int(rng.integers(1, 4)), 2)
+    if kind == "weighted":
+        return random_independent_system(
+            rng, (1, 3), (2, 3), require_negative_mean=True, payoff_range=(-1.0, 3.0)
+        )
+    return random_independent_system(rng, (1, 3), (2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["independent", "joint", "weighted"]),
+    weighted=st.booleans(),
+)
+def test_warm_start_matches_two_phase_solve(seed, kind, weighted):
+    """The warm-started solve equals an independent two-phase solve of the same LP."""
+    system = _random_system(seed, kind)
+    lp = build_centralized_lp(system, weighted)
+    start = np.zeros(lp.n_vars)
+    start[uninformative_basis(system)] = 1.0
+    assert violation_at(lp, start) <= 1e-12
+    cold = solve(lp)
+    assert cold.status is LpStatus.OPTIMAL
+    _, report = solve_centralized(system, weighted)
+    value = report.value if weighted else report.throughput
+    assert abs(value - cold.objective_value) <= 1e-9
+
+
+def test_uninformative_basis_recommends_the_best_positive_mean():
+    sunny = LocationModel("sunny", ("bad", "good"), (0.2, 0.8), (-1.0, 1.0))
+    sunnier = LocationModel("sunnier", ("bad", "good"), (0.1, 0.9), (-1.0, 1.0))
+    gloomy = LocationModel("gloomy", ("bad", "good"), (0.8, 0.2), (-1.0, 1.0))
+    basis = uninformative_basis(SystemModel((sunny, sunnier)))
+    assert basis.tolist() == [3 * w + 2 for w in range(4)]
+    basis = uninformative_basis(SystemModel((gloomy, gloomy)))
+    assert basis.tolist() == [3 * w for w in range(4)]
+
+
+def test_former_k6_stall_instance_solves_to_decentralized_optimum():
+    system = random_independent_system(np.random.default_rng([0, 1, 0]), (6, 6), (2, 3))
+    assert system.state_sizes == (3, 3, 3, 2, 2, 3)
+    _, central = solve_centralized(system)
+    _, _, dec = compose_optimal(system)
+    assert central.throughput == pytest.approx(1.0, abs=1e-9)
+    assert abs(central.throughput - dec.throughput) <= 1e-7
+
+
+def test_tightness_k10_large_scale_reaches_full_throughput():
+    inst = make_tightness_instance(10, 1000.0)
+    _, report = solve_centralized(inst.system)
+    assert abs(report.throughput - 1.0) <= 1e-7
+
+
+def test_solving_does_not_import_scipy():
+    src = Path(sigmech.__file__).resolve().parent.parent
+    code = (
+        "import sys, sigmech\n"
+        "from sigmech.bounds import make_tightness_instance\n"
+        "from sigmech.centralized import solve_centralized\n"
+        "solve_centralized(make_tightness_instance(3, 10.0).system)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def _rows_by_loop(system, weighted):
+    """The obedience LP built one row and one coefficient at a time."""
+    k_count, s_count = system.num_locations, system.state_count
+    mu, util = system.joint_vector, system.utility_matrix
+    n = s_count * (k_count + 1)
+    objective = np.zeros(n)
+    rows, relations, rhs = [], [], []
+
+    def row_with(action, values):
+        row = np.zeros(n)
+        for w in range(s_count):
+            row[w * (k_count + 1) + action] = values[w]
+        return row
+
+    for k in range(k_count):
+        weight = system.payoffs[k] if weighted else 1.0
+        for w in range(s_count):
+            objective[w * (k_count + 1) + k + 1] = mu[w] * weight
+    for k in range(k_count):
+        for other in range(k_count):
+            rows.append(row_with(k + 1, mu * (util[:, k] - util[:, other])))
+            relations.append(GREATER)
+            rhs.append(0.0)
+    for k in range(k_count):
+        rows.append(row_with(k + 1, mu * util[:, k]))
+        relations.append(GREATER)
+        rhs.append(0.0)
+    for k in range(k_count):
+        rows.append(row_with(0, mu * util[:, k]))
+        relations.append(LESS)
+        rhs.append(0.0)
+    for w in range(s_count):
+        row = np.zeros(n)
+        row[w * (k_count + 1) : (w + 1) * (k_count + 1)] = 1.0
+        rows.append(row)
+        relations.append(EQUAL)
+        rhs.append(1.0)
+    return objective, np.array(rows), relations, rhs
+
+
+@pytest.mark.parametrize("kind", ["independent", "joint", "weighted"])
+def test_index_arithmetic_build_equals_row_by_row_build(kind):
+    for seed in range(5):
+        system = _random_system(seed, kind)
+        weighted = kind == "weighted"
+        lp = build_centralized_lp(system, weighted)
+        objective, matrix, relations, rhs = _rows_by_loop(system, weighted)
+        assert np.array_equal(lp.objective, objective)
+        assert np.array_equal(lp.matrix, matrix)
+        assert lp.relations.tolist() == relations
+        assert lp.rhs.tolist() == rhs

@@ -271,3 +271,28 @@ def test_verify_failure_prints_replayable_instance(runner, monkeypatch):
     blob = result.output.split("offending instance:\n", 1)[1].rsplit("RESULT", 1)[0]
     system = parse_instance(blob)
     assert format_instance(system) == blob.strip()
+
+
+def test_solver_error_exits_4_with_one_line(runner, example_path, monkeypatch):
+    from sigmech import centralized
+    from sigmech.model import SolverError
+
+    def failing_solve(*args, **kwargs):
+        raise SolverError("simplex exceeded the iteration cap of 7 pivots")
+
+    monkeypatch.setattr(centralized, "solve", failing_solve)
+    result = runner.invoke(main, ["solve", example_path])
+    assert result.exit_code == 4
+    assert result.stderr.splitlines() == [
+        "error: LP solver failed: simplex exceeded the iteration cap of 7 pivots"
+    ]
+    assert isinstance(result.exception, SystemExit)  # no SolverError traceback
+
+
+def test_verify_independent_bound_k6_passes(runner):
+    result = runner.invoke(
+        main, ["--seed", "0", "verify", "independent-bound", "--K", "6..6", "--trials", "5"]
+    )
+    assert result.exit_code == 0
+    assert "5/5 pass" in result.output
+    assert result.output.endswith("RESULT PASS\n")

@@ -10,7 +10,6 @@ from sigmech.lp import (
     EQUAL,
     GREATER,
     LESS,
-    Constraint,
     LinearProgram,
     LpStatus,
     solve,
@@ -29,11 +28,11 @@ def enumerate_vertices(lp):
     n = lp.n_vars
     rows = []
     required = []
-    for con in lp.constraints:
-        if con.relation == EQUAL:
-            required.append((np.array(con.coeffs), con.rhs))
+    for coeffs, relation, rhs in zip(lp.matrix, lp.relations, lp.rhs):
+        if relation == EQUAL:
+            required.append((coeffs, rhs))
         else:
-            rows.append((np.array(con.coeffs), con.rhs))
+            rows.append((coeffs, rhs))
     for j, (lo, hi) in enumerate(lp.bounds):
         unit = np.zeros(n)
         unit[j] = 1.0
@@ -68,7 +67,7 @@ def enumerate_vertices(lp):
 
 
 def test_single_variable_optimum():
-    lp = LinearProgram(1, (1.0,), (Constraint((1.0,), LESS, 1.0),))
+    lp = LinearProgram((1.0,), [[1.0]], (LESS,), (1.0,))
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x == (1.0,)
@@ -76,21 +75,17 @@ def test_single_variable_optimum():
 
 
 def test_infeasible_reported():
-    lp = LinearProgram(1, (1.0,), (Constraint((1.0,), LESS, -1.0),))
+    lp = LinearProgram((1.0,), [[1.0]], (LESS,), (-1.0,))
     assert solve(lp).status is LpStatus.INFEASIBLE
 
 
 def test_unbounded_reported():
-    lp = LinearProgram(1, (1.0,), ())
+    lp = LinearProgram((1.0,))
     assert solve(lp).status is LpStatus.UNBOUNDED
 
 
 def test_two_variable_optimum_matches_vertex_enumeration():
-    lp = LinearProgram(
-        2,
-        (1.0, 1.0),
-        (Constraint((1.0, 2.0), LESS, 4.0), Constraint((3.0, 1.0), LESS, 6.0)),
-    )
+    lp = LinearProgram((1.0, 1.0), [[1.0, 2.0], [3.0, 1.0]], (LESS, LESS), (4.0, 6.0))
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(2.8, abs=1e-9)
@@ -101,12 +96,10 @@ def test_two_variable_optimum_matches_vertex_enumeration():
 
 def test_equality_constraints_native():
     lp = LinearProgram(
-        3,
         (1.0, 2.0, -1.0),
-        (
-            Constraint((1.0, 1.0, 1.0), EQUAL, 1.0),
-            Constraint((1.0, -1.0, 0.0), GREATER, -0.5),
-        ),
+        [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+        (EQUAL, GREATER),
+        (1.0, -0.5),
     )
     sol = solve(lp)
     oracle_value, _ = enumerate_vertices(lp)
@@ -116,9 +109,10 @@ def test_equality_constraints_native():
 
 def test_negative_lower_bounds_and_upper_bounds():
     lp = LinearProgram(
-        2,
         (1.0, -1.0),
-        (Constraint((1.0, 1.0), LESS, 1.0),),
+        [[1.0, 1.0]],
+        (LESS,),
+        (1.0,),
         bounds=((-2.0, 3.0), (-1.0, 4.0)),
     )
     sol = solve(lp)
@@ -129,19 +123,17 @@ def test_negative_lower_bounds_and_upper_bounds():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
-        solve(LinearProgram(2, (1.0,), ()))
+        solve(LinearProgram((1.0,), [[1.0, 1.0]], (LESS,), (1.0,)))
     with pytest.raises(InputError):
-        solve(LinearProgram(2, (1.0, 0.0), (Constraint((1.0,), LESS, 1.0),)))
+        solve(LinearProgram((1.0, 0.0), [[1.0]], (LESS,), (1.0,)))
     with pytest.raises(InputError):
-        solve(LinearProgram(1, (1.0,), (), bounds=((2.0, 1.0),)))
+        solve(LinearProgram((1.0, 0.0), [[1.0, 0.0]], (LESS,), (1.0, 2.0)))
+    with pytest.raises(InputError):
+        solve(LinearProgram((1.0,), bounds=((2.0, 1.0),)))
 
 
 def test_iteration_cap_error_names_the_cap():
-    lp = LinearProgram(
-        2,
-        (1.0, 1.0),
-        (Constraint((1.0, 2.0), LESS, 4.0), Constraint((3.0, 1.0), LESS, 6.0)),
-    )
+    lp = LinearProgram((1.0, 1.0), [[1.0, 2.0], [3.0, 1.0]], (LESS, LESS), (4.0, 6.0))
     with pytest.raises(SolverError, match="1 pivot"):
         solve(lp, _iteration_cap=1)
 
@@ -149,13 +141,14 @@ def test_iteration_cap_error_names_the_cap():
 def test_degenerate_cycling_instance_terminates():
     # Beale's example: cycles under naive largest-coefficient pricing.
     lp = LinearProgram(
-        4,
         (0.75, -150.0, 0.02, -6.0),
-        (
-            Constraint((0.25, -60.0, -0.04, 9.0), LESS, 0.0),
-            Constraint((0.5, -90.0, -0.02, 3.0), LESS, 0.0),
-            Constraint((0.0, 0.0, 1.0, 0.0), LESS, 1.0),
-        ),
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ],
+        (LESS, LESS, LESS),
+        (0.0, 0.0, 1.0),
     )
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
@@ -163,18 +156,14 @@ def test_degenerate_cycling_instance_terminates():
 
 
 def test_free_and_half_bounded_variables():
-    lp = LinearProgram(
-        1,
-        (1.0,),
-        (Constraint((1.0,), LESS, 3.0),),
-        bounds=((-math.inf, math.inf),),
-    )
+    lp = LinearProgram((1.0,), [[1.0]], (LESS,), (3.0,), bounds=((-math.inf, math.inf),))
     assert solve(lp).objective_value == pytest.approx(3.0, abs=1e-9)
 
     lp = LinearProgram(
-        2,
         (-1.0, 1.0),
-        (Constraint((1.0, 1.0), GREATER, -4.0),),
+        [[1.0, 1.0]],
+        (GREATER,),
+        (-4.0,),
         bounds=((-math.inf, 2.0), (-math.inf, 1.0)),
     )
     sol = solve(lp)
@@ -192,24 +181,25 @@ def _random_feasible_bounded_lp(rng):
     hi = lo + rng.uniform(0.5, 3.0, n)
     x0 = lo + (hi - lo) * rng.uniform(0.2, 0.8, n)
     objective = rng.uniform(-2.0, 2.0, n)
-    constraints = []
-    for _ in range(m):
+    matrix = np.zeros((m, n))
+    relations = []
+    rhs = []
+    for i in range(m):
         coeffs = rng.uniform(-2.0, 2.0, n)
+        matrix[i] = coeffs
         anchor = float(coeffs @ x0)
         kind = rng.integers(0, 3)
         slack = float(rng.uniform(0.0, 1.5))
         if kind == 0:
-            constraints.append(Constraint(tuple(coeffs), LESS, anchor + slack))
+            relations.append(LESS)
+            rhs.append(anchor + slack)
         elif kind == 1:
-            constraints.append(Constraint(tuple(coeffs), GREATER, anchor - slack))
+            relations.append(GREATER)
+            rhs.append(anchor - slack)
         else:
-            constraints.append(Constraint(tuple(coeffs), EQUAL, anchor))
-    return LinearProgram(
-        n,
-        tuple(objective),
-        tuple(constraints),
-        bounds=tuple(zip(lo.tolist(), hi.tolist())),
-    )
+            relations.append(EQUAL)
+            rhs.append(anchor)
+    return LinearProgram(objective, matrix, relations, rhs, np.column_stack([lo, hi]))
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -241,15 +231,101 @@ def test_reported_violation_matches_recomputation():
         assert sol.status is LpStatus.OPTIMAL
         recomputed = 0.0
         x = np.array(sol.x)
-        for con in lp.constraints:
-            lhs = float(np.dot(con.coeffs, x))
-            if con.relation == LESS:
-                recomputed = max(recomputed, lhs - con.rhs)
-            elif con.relation == GREATER:
-                recomputed = max(recomputed, con.rhs - lhs)
+        for coeffs, relation, rhs in zip(lp.matrix, lp.relations, lp.rhs):
+            lhs = float(np.dot(coeffs, x))
+            if relation == LESS:
+                recomputed = max(recomputed, lhs - rhs)
+            elif relation == GREATER:
+                recomputed = max(recomputed, rhs - lhs)
             else:
-                recomputed = max(recomputed, abs(lhs - con.rhs))
+                recomputed = max(recomputed, abs(lhs - rhs))
         for j, (lo, hi) in enumerate(lp.bounds):
             recomputed = max(recomputed, lo - x[j], x[j] - hi)
         assert abs(recomputed - sol.max_violation) <= 1e-12
         assert sol.max_violation <= 1e-8
+
+
+def _simplex_lp(scale=1.0):
+    """max x0 + 2 x1 - x2 on the simplex x0 + x1 + x2 = 1, with x1 <= 0.6.
+
+    ``scale`` multiplies the equality row, so the start basis block is
+    not the identity unless it is 1.
+    """
+    return LinearProgram(
+        (1.0, 2.0, -1.0),
+        [[scale, scale, scale], [0.0, 1.0, 0.0]],
+        (EQUAL, LESS),
+        (scale, 0.6),
+    )
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_warm_start_matches_two_phase_and_vertex_enumeration(scale):
+    lp = _simplex_lp(scale)
+    oracle_value, _ = enumerate_vertices(lp)
+    cold = solve(lp)
+    for start in (0, 2):  # x0 = 1 or x2 = 1; both satisfy x1 <= 0.6
+        warm = solve(lp, basis=[start])
+        assert warm.status is LpStatus.OPTIMAL
+        assert warm.objective_value == pytest.approx(oracle_value, abs=1e-12)
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+
+
+def test_warm_start_rejects_infeasible_singular_and_misshapen_bases():
+    lp = LinearProgram(
+        (1.0, 2.0),
+        [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+        (EQUAL, LESS, EQUAL),
+        (1.0, 0.6, 0.5),
+    )
+    with pytest.raises(SolverError, match="infeasible"):
+        solve(_simplex_lp(), basis=[1])  # x1 = 1 breaks x1 <= 0.6
+    with pytest.raises(SolverError, match="singular"):
+        solve(lp, basis=[1, 1])
+    with pytest.raises(InputError):
+        solve(lp, basis=[0])
+    with pytest.raises(InputError):
+        solve(lp, basis=[0, 2])
+
+
+def test_warm_start_with_greater_rows_and_shifted_bounds():
+    # x in [1, 3] and y free with x + y = 2, x - y >= -1; x starts basic (x = 2).
+    lp = LinearProgram(
+        (1.0, 0.5),
+        [[1.0, 1.0], [1.0, -1.0]],
+        (EQUAL, GREATER),
+        (2.0, -1.0),
+        bounds=((1.0, 3.0), (-math.inf, math.inf)),
+    )
+    oracle_value, _ = enumerate_vertices(lp)
+    warm = solve(lp, basis=[0])
+    assert warm.status is LpStatus.OPTIMAL
+    assert warm.objective_value == pytest.approx(oracle_value, abs=1e-12)
+    assert warm.x == pytest.approx((3.0, -1.0), abs=1e-12)
+
+
+def test_row_sparse_pivot_equals_dense_update():
+    from sigmech.lp import _Tableau
+
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        body = rng.uniform(-2.0, 2.0, (9, 12))
+        body[rng.uniform(size=body.shape) < 0.6] = 0.0
+        row, col = int(rng.integers(0, 8)), int(rng.integers(0, 11))
+        body[row, col] = rng.uniform(0.5, 2.0)
+        dense = body.copy()
+        dense[row] /= dense[row, col]
+        factors = dense[:, col].copy()
+        factors[row] = 0.0
+        dense -= np.outer(factors, dense[row])
+        dense[:, col] = 0.0
+        dense[row, col] = 1.0
+        tableau = _Tableau(body, np.arange(8), cap=10)
+        tableau._pivot(row, col)
+        assert np.array_equal(tableau.T, dense)
+        assert tableau.basis[row] == col
+
+
+def test_unknown_relation_rejected():
+    with pytest.raises(InputError, match="unknown relation"):
+        LinearProgram((1.0,), [[1.0]], ("<=x",), (1.0,))
