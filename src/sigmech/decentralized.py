@@ -115,23 +115,16 @@ def _join_on_one_strategy(
     selection.  The all-zero vector maps to leaving.
     """
     num_locs = system.num_locations
-    posteriors = None if priority is not None else _signal_one_posteriors(system, mech)
+    if priority is None:
+        posteriors = _signal_one_posteriors(system, mech)
+        priority = sorted(range(num_locs), key=lambda k: (-posteriors[k], k))
     labels = mech.joint_signals()
+    ones = np.array(labels) == 1
+    rank = np.argsort(priority)
+    pick = np.argmin(np.where(ones, rank, num_locs), axis=1)
+    action = np.where(ones.any(axis=1), pick + 1, 0)
     rows = np.zeros((len(labels), num_locs + 1))
-    for row, u in enumerate(labels):
-        candidates = [k for k in range(num_locs) if u[k] == 1]
-        if not candidates:
-            rows[row, 0] = 1.0
-            continue
-        if priority is not None:
-            pick = next(k for k in priority if u[k] == 1)
-        else:
-            best = max(posteriors[k] for k in candidates)
-            if math.isinf(best):
-                pick = candidates[0]
-            else:
-                pick = next(k for k in candidates if posteriors[k] >= best)
-        rows[row, pick + 1] = 1.0
+    rows[np.arange(len(labels)), action] = 1.0
     return CustomerStrategy(tuple(labels), rows, class_fd=True)
 
 

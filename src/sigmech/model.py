@@ -14,6 +14,7 @@ agree bit-exactly on layouts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -356,10 +357,8 @@ class DecentralizedMechanism:
 
     def joint_signals(self) -> list[tuple]:
         """Joint signal labels in mixed-radix order (location 1 fastest)."""
-        return [
-            tuple(part.signals[i] for part, i in zip(self.parts, idx))
-            for idx in joint_tuples(self.signal_sizes)
-        ]
+        reversed_labels = itertools.product(*(part.signals for part in self.parts[::-1]))
+        return [labels[::-1] for labels in reversed_labels]
 
     def joint_table(self) -> np.ndarray:
         """Induced sigma(s|w) table over joint states and joint signals."""

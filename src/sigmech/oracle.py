@@ -1,12 +1,16 @@
-"""Brute-force machinery: exact best response, full-enumeration evaluation,
-baseline mechanisms, and grid search over binary decentralized mechanisms.
+"""Exact oracles: best response, evaluation, baseline mechanisms, and grid
+search over binary decentralized mechanisms.
 
-Everything here enumerates the full (state, signal, action) space, so it
-is the ground truth the solvers are tested against.
+Every signal's probability and posterior utilities are computed exactly,
+with no sampling, so these are the ground truth the solvers are tested
+against.  A decentralized mechanism is handled in product form, one
+location's table at a time, so its joint table over states x signals is
+never built; a centralized mechanism's table is used as given.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -31,13 +35,24 @@ from .model import (
 TIE_TOL = 1e-9
 # Parameter-count guard for the grid search.
 GRID_PARAM_LIMIT = 8
-_BATCH = 1 << 17
+# Grid candidates scored per block.  A block's float arrays (128 KiB each)
+# stay in cache: 2^14 was the fastest of 2^13..2^18 on a 2-vCPU x86 VM.
+_BATCH = 1 << 14
 
 Mechanism = CentralizedMechanism | DecentralizedMechanism
 
 
-def _signal_view(system: SystemModel, mech: Mechanism) -> tuple[list, np.ndarray]:
-    """Mechanism as (joint signal labels, table over joint states x signals)."""
+def _signal_masses(
+    system: SystemModel, mech: Mechanism
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Joint signal labels, their probabilities ``(M,)`` and utility masses ``(K, M)``.
+
+    ``wins[k, s]`` is the prior-and-mechanism weighted utility of joining
+    location k on signal s, so ``wins[k, s] / probs[s]`` is its posterior
+    utility.  A decentralized mechanism is contracted one location at a
+    time against the weight tensor ``[mu; mu*u_1; ...; mu*u_K]``, so its
+    dense joint table is never formed.
+    """
     if isinstance(mech, DecentralizedMechanism):
         if mech.num_locations != system.num_locations:
             raise InputError(
@@ -47,22 +62,40 @@ def _signal_view(system: SystemModel, mech: Mechanism) -> tuple[list, np.ndarray
         for k, (part, size) in enumerate(zip(mech.parts, system.state_sizes)):
             if part.table.shape[0] != size:
                 raise InputError(f"location {k} table has wrong state count")
-        return mech.joint_signals(), mech.joint_table()
+        # mu's axes run from the last location to the first (first fastest).
+        num_locs = system.num_locations
+        mu = system.joint_vector.reshape(system.state_sizes[::-1])
+        weights = [mu]
+        for k, loc in enumerate(system.locations):
+            others = [j for j in range(num_locs) if j != num_locs - 1 - k]
+            weights.append(mu * np.expand_dims(loc.utility_array(), others))
+        # Contracting axis 1 each time leaves the signal axes in the same order.
+        masses = np.stack(weights)
+        for part in reversed(mech.parts):
+            masses = np.tensordot(masses, part.table, axes=(1, 0))
+        masses = masses.reshape(num_locs + 1, -1)
+        return mech.joint_signals(), masses[0], masses[1:]
     if mech.table.shape != (system.state_count, mech.num_signals):
         raise InputError(
             f"mechanism table shape {mech.table.shape} does not match "
             f"{system.state_count} states x {mech.num_signals} signals"
         )
-    return list(mech.signals), mech.table
+    mass = system.joint_vector[:, None] * mech.table
+    return list(mech.signals), mass.sum(axis=0), system.utility_matrix.T @ mass
 
 
-def _action_priority(payoffs: Sequence[float]) -> list[int]:
-    """Actions ordered by system preference: payoff descending, index ascending.
+def _system_choice(utilities: np.ndarray, payoffs: Sequence[float]) -> np.ndarray:
+    """Action index (axis 0 of ``utilities``) the system-favoring customer plays.
 
-    Action 0 (leave) is worth zero to the system.
+    Among actions within ``TIE_TOL`` of the best utility, the largest
+    payoff wins, then the smallest index; action 0 (leave) is worth zero
+    to the system.
     """
     values = [0.0] + [float(v) for v in payoffs]
-    return sorted(range(len(values)), key=lambda a: (-values[a], a))
+    priority = sorted(range(len(values)), key=lambda a: (-values[a], a))
+    rank = np.argsort(priority).reshape((-1,) + (1,) * (utilities.ndim - 1))
+    eligible = utilities >= utilities.max(axis=0) - TIE_TOL
+    return np.argmin(np.where(eligible, rank, rank.size), axis=0)
 
 
 def best_response(system: SystemModel, mech: Mechanism) -> CustomerStrategy:
@@ -74,30 +107,18 @@ def best_response(system: SystemModel, mech: Mechanism) -> CustomerStrategy:
     largest payoff wins, then the smallest index.  Zero-probability
     signals map to action 0.
     """
-    labels, table = _signal_view(system, mech)
-    mu = system.joint_vector
-    mass = mu[:, None] * table
-    probs = mass.sum(axis=0)
-    wins = system.utility_matrix.T @ mass  # (K, S) unnormalized posteriors
-    num_actions = system.num_locations + 1
-    priority = _action_priority(system.payoffs)
-    rows = np.zeros((len(labels), num_actions))
-    for s in range(len(labels)):
-        if probs[s] <= ZERO_MASS:
-            rows[s, 0] = 1.0
-            continue
-        utilities = np.concatenate([[0.0], wins[:, s] / probs[s]])
-        eligible = utilities >= utilities.max() - TIE_TOL
-        for action in priority:
-            if eligible[action]:
-                rows[s, action] = 1.0
-                break
+    labels, probs, wins = _signal_masses(system, mech)
+    sent = probs > ZERO_MASS
+    utilities = np.vstack([np.zeros(len(labels)), wins / np.where(sent, probs, 1.0)])
+    chosen = np.where(sent, _system_choice(utilities, system.payoffs), 0)
+    rows = np.zeros((len(labels), system.num_locations + 1))
+    rows[np.arange(len(labels)), chosen] = 1.0
     return CustomerStrategy(tuple(labels), rows)
 
 
 def evaluate(system: SystemModel, mech: Mechanism, strategy: CustomerStrategy) -> EvaluationReport:
-    """Exact enumeration of throughput, value, and per-signal diagnostics."""
-    labels, table = _signal_view(system, mech)
+    """Exact throughput, value, and per-signal diagnostics."""
+    labels, probs, wins = _signal_masses(system, mech)
     num_actions = system.num_locations + 1
     if strategy.table.shape != (len(labels), num_actions):
         raise InputError(
@@ -107,39 +128,31 @@ def evaluate(system: SystemModel, mech: Mechanism, strategy: CustomerStrategy) -
     if tuple(strategy.signals) != tuple(labels):
         raise InputError("strategy signal labels do not match the mechanism")
 
-    mu = system.joint_vector
-    mass = mu[:, None] * table
-    probs = mass.sum(axis=0)
-    wins = system.utility_matrix.T @ mass
     action_mass = probs @ strategy.table
     per_location = action_mass[1:]
     throughput = float(per_location.sum())
     value = float(np.dot(per_location, system.payoffs))
 
-    worst = 0.0
-    stats = []
-    for s in range(len(labels)):
-        if probs[s] <= ZERO_MASS:
-            continue
-        best_mass = max(0.0, float(wins[:, s].max()))
-        for action in range(num_actions):
-            if strategy.table[s, action] <= ZERO_MASS:
-                continue
-            got = 0.0 if action == 0 else float(wins[action - 1, s])
-            worst = min(worst, got - best_mass)
-        stats.append(
-            SignalStat(
-                signal=labels[s],
-                probability=float(probs[s]),
-                posterior_utilities=tuple(wins[:, s] / probs[s]),
-                chosen_action=int(np.argmax(strategy.table[s])),
-            )
+    # Utility mass of every action (leaving is worth zero) less the best one,
+    # over the (signal, action) pairs the strategy plays on sent signals.
+    gains = np.vstack([np.zeros(len(labels)), wins])
+    sent = probs > ZERO_MASS
+    played = (strategy.table.T > ZERO_MASS) & sent
+    worst = float(np.min(gains - gains.max(axis=0), where=played, initial=0.0))
+    stats = tuple(
+        SignalStat(labels[s], prob, tuple(post), action)
+        for s, prob, post, action in zip(
+            np.flatnonzero(sent).tolist(),
+            probs[sent].tolist(),
+            (wins[:, sent] / probs[sent]).T.tolist(),
+            np.argmax(strategy.table[sent], axis=1).tolist(),
         )
+    )
     return EvaluationReport(
         throughput=throughput,
         value=value,
         per_location_throughput=tuple(float(v) for v in per_location),
-        signal_stats=tuple(stats),
+        signal_stats=stats,
         strategy_optimal=worst >= -1e-7,
         worst_slack=worst,
     )
@@ -194,6 +207,10 @@ def grid_search_decentralized(
     With ``obedient_only`` (independent priors only) candidates are
     filtered to those admitting an optimal join-on-1 strategy and scored
     by the closed-form product throughput.
+
+    Candidates are numbered with location 1's grid point fastest and the
+    first best-scoring one wins.  Scoring runs in blocks of the other
+    locations' grid points, against every location-1 grid point at once.
     """
     require_valid(system)
     sizes = system.state_sizes
@@ -202,36 +219,30 @@ def grid_search_decentralized(
             f"grid search needs at most {GRID_PARAM_LIMIT} parameters, "
             f"instance has {sum(sizes)}"
         )
-    independent = system.prior_mode == "independent"
-    if obedient_only and not independent:
+    if obedient_only and system.prior_mode != "independent":
         raise InputError("the obedience filter applies to independent priors only")
 
     values = _grid_values(resolution)
     num_locs = system.num_locations
     combos = [_location_combos(values, n) for n in sizes]
     counts = [c.shape[0] for c in combos]
-    total = math.prod(counts)
+    head = counts[0]
+    rest_total = math.prod(counts[1:])
 
-    priors = [loc.prior_array() for loc in system.locations]
-    utils = [loc.utility_array() for loc in system.locations]
-    # Per-combo aggregates: column u is the signal-u mass (and utility mass).
-    agg_p = []
-    agg_w = []
-    for k in range(num_locs):
-        x = combos[k]
-        agg_p.append(np.column_stack([(1.0 - x) @ priors[k], x @ priors[k]]))
-        agg_w.append(
-            np.column_stack(
-                [(1.0 - x) @ (priors[k] * utils[k]), x @ (priors[k] * utils[k])]
-            )
-        )
-
-    signals = list(np.ndindex(*([2] * num_locs)))  # u tuples, last index fastest
-    priority = _action_priority(system.payoffs)
-
-    obedient_masks = None
-    cond_i_masks = None
     if obedient_only:
+        priors = [loc.prior_array() for loc in system.locations]
+        utils = [loc.utility_array() for loc in system.locations]
+        # Per-combo aggregates: column u is the signal-u mass (and utility mass).
+        agg_p = []
+        agg_w = []
+        for k in range(num_locs):
+            x = combos[k]
+            agg_p.append(np.column_stack([(1.0 - x) @ priors[k], x @ priors[k]]))
+            agg_w.append(
+                np.column_stack(
+                    [(1.0 - x) @ (priors[k] * utils[k]), x @ (priors[k] * utils[k])]
+                )
+            )
         obedient_masks = [
             (agg_w[k][:, 1] >= -PROB_TOL) & (agg_w[k][:, 0] <= PROB_TOL)
             for k in range(num_locs)
@@ -249,25 +260,31 @@ def grid_search_decentralized(
                 if l != k
             ]
             cond_i_masks.append((never_zero, cross))
+    else:
+        # weights[r, (a, w_1)] is the mass [mu; mu*u_1; ...; mu*u_K][a] of the
+        # state with location-1 index w_1 and other-locations index r.
+        weights = system.joint_vector[:, None] * np.column_stack(
+            [np.ones(system.state_count), system.utility_matrix]
+        )
+        weights = weights.reshape(-1, sizes[0], num_locs + 1).transpose(0, 2, 1)
+        weights = weights.reshape(-1, (num_locs + 1) * sizes[0])
+        head_signal = (1.0 - combos[0], combos[0])  # (head, n_1) per signal of location 1
+        always_join_on_tie = min(system.payoffs) > 0.0
 
-    if not independent:
-        mu = system.joint_vector
-        util_cols = [mu * system.utility_matrix[:, k] for k in range(num_locs)]
-        state_cols = [system.state_index_matrix[:, k] for k in range(num_locs)]
-
-    always_join_on_tie = min(system.payoffs) > 0.0
     best_value = -math.inf
     best_flat = 0
-    for start in range(0, total, _BATCH):
-        ids = np.arange(start, min(start + _BATCH, total))
-        rows = []
-        rem = ids
-        for k in range(num_locs):
+    batch = max(1, _BATCH // head)
+    for start in range(0, rest_total, batch):
+        block = np.arange(start, min(start + batch, rest_total))
+        rows = [np.arange(head)]
+        rem = block
+        for k in range(1, num_locs):
             rows.append(rem % counts[k])
             rem = rem // counts[k]
 
         if obedient_only:
-            cond_ii = np.ones(ids.size, dtype=bool)
+            rows = [np.tile(rows[0], block.size)] + [np.repeat(r, head) for r in rows[1:]]
+            cond_ii = np.ones(rows[0].size, dtype=bool)
             for k in range(num_locs):
                 cond_ii &= obedient_masks[k][rows[k]]
             allowed = cond_ii
@@ -280,66 +297,43 @@ def grid_search_decentralized(
                 for cross_mask, l in zip(cross, others):
                     mask &= cross_mask[rows[l]]
                 allowed |= mask
-            miss = np.ones(ids.size)
+            miss = np.ones(rows[0].size)
             for k in range(num_locs):
                 miss *= agg_p[k][rows[k], 0]
             scores = np.where(allowed, 1.0 - miss, -math.inf)
         else:
-            if independent:
-                got_p = [agg_p[k][rows[k]] for k in range(num_locs)]
-                got_w = [agg_w[k][rows[k]] for k in range(num_locs)]
-            else:
-                state_probs = [
-                    combos[k][rows[k]][:, state_cols[k]] for k in range(num_locs)
-                ]
-            scores = np.zeros(ids.size)
-            for u in signals:
-                if independent:
-                    factors = [got_p[k][:, u[k]] for k in range(num_locs)]
-                    prob = factors[0].copy()
-                    for f in factors[1:]:
-                        prob = prob * f
-                    wins = []
-                    for a in range(num_locs):
-                        w = got_w[a][:, u[a]].copy()
-                        for k in range(num_locs):
-                            if k != a:
-                                w *= factors[k]
-                        wins.append(w)
-                else:
-                    sig = np.ones((ids.size, system.state_count))
-                    for k in range(num_locs):
-                        col = state_probs[k]
-                        sig *= col if u[k] == 1 else 1.0 - col
-                    prob = sig @ mu
-                    wins = [sig @ util_cols[a] for a in range(num_locs)]
-                valid = prob > ZERO_MASS
-                if always_join_on_tie:
-                    # With every payoff positive, the system-favoring best
-                    # response joins exactly when some location's posterior
-                    # clears the tie tolerance.
-                    top = wins[0].copy()
-                    for w in wins[1:]:
-                        np.maximum(top, w, out=top)
-                    joins = top >= -TIE_TOL * prob
-                else:
-                    safe = np.where(valid, prob, 1.0)
-                    utilities = np.column_stack(
-                        [np.zeros(ids.size)] + [w / safe for w in wins]
-                    )
-                    eligible = (
-                        utilities >= utilities.max(axis=1, keepdims=True) - TIE_TOL
-                    )
-                    chosen = np.zeros(ids.size, dtype=int)
-                    for action in reversed(priority):
-                        chosen[eligible[:, action]] = action
-                    joins = chosen != 0
-                scores += np.where(valid & joins, prob, 0.0)
+            scores = np.zeros((block.size, head))
+            rest_signal = [(1.0 - combos[k][rows[k]], combos[k][rows[k]])
+                           for k in range(1, num_locs)]
+            for u_rest in itertools.product((0, 1), repeat=num_locs - 1):
+                # sig[i, r]: chance that block row i's other locations send u_rest in r.
+                sig = np.ones((block.size, 1))
+                for q, u in zip(rest_signal, u_rest):
+                    sig = (q[u][:, :, None] * sig[:, None, :]).reshape(block.size, -1)
+                # rest_mass[(a, i), w_1]: block row i's mass a with location 1 at w_1.
+                rest_mass = (sig @ weights).reshape(block.size, num_locs + 1, -1)
+                rest_mass = rest_mass.transpose(1, 0, 2).reshape(-1, sizes[0])
+                for q in head_signal:
+                    mass = (rest_mass @ q.T).reshape(num_locs + 1, block.size, head)
+                    prob, wins = mass[0], mass[1:]
+                    valid = prob > ZERO_MASS
+                    if always_join_on_tie:
+                        # With every payoff positive, the system-favoring best
+                        # response joins exactly when some location's posterior
+                        # clears the tie tolerance.
+                        joins = wins.max(axis=0) >= -TIE_TOL * prob
+                    else:
+                        utilities = np.concatenate(
+                            [np.zeros((1,) + prob.shape), wins / np.where(valid, prob, 1.0)]
+                        )
+                        joins = _system_choice(utilities, system.payoffs) != 0
+                    scores += np.where(valid & joins, prob, 0.0)
 
+        scores = scores.ravel()
         arg = int(np.argmax(scores))
         if scores[arg] > best_value:
             best_value = float(scores[arg])
-            best_flat = start + arg
+            best_flat = start * head + arg
 
     rem = best_flat
     chosen_probs = []

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from sigmech.bounds import make_correlated_instance, make_tightness_instance
-from sigmech.cli import main
+from sigmech.cli import LP_SIZE_CAP, main
 from sigmech.instances import format_instance, parse_instance, write_instance
 from sigmech.model import LocationModel, SystemModel
 
@@ -239,10 +239,21 @@ def test_sweep_correlated_bounds_only_for_large_k(runner):
     for row in rows:
         k = int(row["K"])
         assert float(row["correlated_upper_bound"]) > float(row["one_over_K"])
-        if k <= 4:
+        if k <= LP_SIZE_CAP:
             assert row["Th"] != ""
         else:
             assert row["Th"] == ""
+
+
+def test_sweep_correlated_solves_k5_and_k6(runner):
+    result = runner.invoke(main, ["sweep", "correlated", "--K", "5..6"])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [int(row["K"]) for row in rows] == [5, 6]
+    for row in rows:
+        th, fallback = float(row["Th"]), float(row["Th_D"])
+        assert th == pytest.approx(1.0, abs=1e-7)
+        assert fallback >= th / int(row["K"]) - 1e-7
 
 
 def test_output_flag_writes_file(runner, example_path, tmp_path):

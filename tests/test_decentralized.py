@@ -161,9 +161,7 @@ def test_obedience_rejects_non_binary_and_joint():
 def _fd_strategy_exists(system, mech):
     """Exhaustive existence check for an optimal join-on-1 strategy,
     straight from the optimality condition over the signal vectors."""
-    from sigmech.oracle import _signal_view
-
-    labels, table = _signal_view(system, mech)
+    labels, table = mech.joint_signals(), mech.joint_table()
     mu = system.joint_vector
     mass = mu[:, None] * table
     probs = mass.sum(axis=0)

@@ -1,15 +1,21 @@
 """Best-response, evaluation, baseline, and grid-search oracle tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmech.bounds import make_tightness_instance
 from sigmech.decentralized import compose_optimal
-from sigmech.instances import random_independent_system
+from sigmech.instances import random_independent_system, random_joint_system
 from sigmech.model import (
     CustomerStrategy,
+    DecentralizedMechanism,
     InputError,
     LocationModel,
+    LocationSignaling,
     SystemModel,
     binary_mechanism,
 )
@@ -125,15 +131,15 @@ def test_shape_mismatch_rejected():
         evaluate(system, mech, bad)
 
 
+def _dense_masses(system, mech):
+    """Reference signal masses from the dense joint table sigma(s|w)."""
+    mass = system.joint_vector[:, None] * mech.joint_table()
+    return mech.joint_signals(), mass.sum(axis=0), system.utility_matrix.T @ mass
+
+
 def _posterior_check(system, mech, strategy):
     """Direct posterior re-check of the optimality condition at 1e-9."""
-    from sigmech.oracle import _signal_view
-
-    labels, table = _signal_view(system, mech)
-    mu = system.joint_vector
-    mass = mu[:, None] * table
-    probs = mass.sum(axis=0)
-    wins = system.utility_matrix.T @ mass
+    labels, probs, wins = _dense_masses(system, mech)
     for s in range(len(labels)):
         if probs[s] <= 1e-12:
             continue
@@ -165,14 +171,8 @@ def test_best_response_dominates_random_strategies():
         br = best_response(system, mech)
         br_report = evaluate(system, mech, br)
 
-        labels, table = br.signals, br.table
-        mu = system.joint_vector
-        from sigmech.oracle import _signal_view
-
-        _, sig_table = _signal_view(system, mech)
-        mass = mu[:, None] * sig_table
-        probs_s = mass.sum(axis=0)
-        wins = system.utility_matrix.T @ mass
+        labels = br.signals
+        _, probs_s, wins = _dense_masses(system, mech)
 
         def customer_utility(strategy):
             total = 0.0
@@ -334,3 +334,138 @@ def test_best_response_zero_probability_signals_leave():
     strategy = best_response(system, mech)
     row = strategy.signals.index((1,))
     assert strategy.table[row, 0] == 1.0
+
+
+def _reference_best_response(system, probs, wins):
+    """Signal-by-signal best response with the system-favoring tie rule."""
+    values = [0.0] + list(system.payoffs)
+    priority = sorted(range(len(values)), key=lambda a: (-values[a], a))
+    rows = np.zeros((len(probs), system.num_locations + 1))
+    for s in range(len(probs)):
+        if probs[s] <= 1e-12:
+            rows[s, 0] = 1.0
+            continue
+        utilities = np.concatenate([[0.0], wins[:, s] / probs[s]])
+        eligible = utilities >= utilities.max() - 1e-9
+        rows[s, next(a for a in priority if eligible[a])] = 1.0
+    return rows
+
+
+def _reference_worst_slack(probs, wins, table):
+    worst = 0.0
+    for s in range(len(probs)):
+        if probs[s] <= 1e-12:
+            continue
+        best = max(0.0, float(wins[:, s].max()))
+        for action in np.flatnonzero(table[s] > 1e-12):
+            got = 0.0 if action == 0 else float(wins[action - 1, s])
+            worst = min(worst, got - best)
+    return worst
+
+
+def _product_form_case(seed, joint):
+    """Small system and decentralized mechanism with exact ties and zeros.
+
+    Priors, utilities and signal tables come from coarse grids, so
+    posterior ties, zero-probability signals and never-sent signals occur
+    often; payoffs repeat and may be zero or negative; one signal
+    alphabet is strings.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [int(n) for n in rng.integers(1, 4, int(rng.integers(1, 4)))]
+    if joint:
+        raw = rng.integers(0, 3, int(np.prod(sizes))).astype(float)
+        raw[0] += 1.0
+        joint_table = raw / raw.sum()
+        cube = joint_table.reshape(sizes[::-1])
+        axes = range(len(sizes))
+        priors = [cube.sum(axis=tuple(a for a in axes if a != len(sizes) - 1 - k))
+                  for k in range(len(sizes))]
+    else:
+        joint_table = None
+        priors = []
+        for n in sizes:
+            raw = rng.integers(0, 3, n).astype(float)
+            raw[0] += 1.0
+            priors.append(raw / raw.sum())
+    locations = tuple(
+        LocationModel(
+            f"l{k}",
+            tuple(f"w{i}" for i in range(n)),
+            tuple(priors[k]),
+            tuple(rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0], n)),
+            float(rng.choice([-1.0, 0.0, 1.0, 1.0, 2.0])),
+        )
+        for k, n in enumerate(sizes)
+    )
+    system = SystemModel(locations, None if joint_table is None else tuple(joint_table))
+    parts = []
+    for k, n in enumerate(sizes):
+        m = int(rng.integers(1, 4))
+        raw = rng.integers(0, 3, (n, m)).astype(float)
+        raw[:, 0] += raw.sum(axis=1) == 0.0
+        labels = ("lo", "mid", "hi")[:m] if k == 0 else tuple(range(m))
+        parts.append(LocationSignaling(labels, raw / raw.sum(axis=1, keepdims=True)))
+    return system, DecentralizedMechanism(tuple(parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), joint=st.booleans())
+def test_product_form_oracles_match_dense_reference(seed, joint):
+    """Contracted best response and evaluation equal the dense-table loops."""
+    system, mech = _product_form_case(seed, joint)
+    labels, probs, wins = _dense_masses(system, mech)
+    strategy = best_response(system, mech)
+    assert list(strategy.signals) == labels
+    assert np.array_equal(strategy.table, _reference_best_response(system, probs, wins))
+
+    rng = np.random.default_rng(seed)
+    rows = np.eye(system.num_locations + 1)[rng.integers(0, system.num_locations + 1, len(labels))]
+    for table in (strategy.table, rows):
+        report = evaluate(system, mech, CustomerStrategy(tuple(labels), table))
+        per_location = (probs @ table)[1:]
+        assert abs(report.throughput - per_location.sum()) <= 1e-12
+        assert abs(report.value - per_location @ system.payoffs) <= 1e-12
+        assert abs(report.worst_slack - _reference_worst_slack(probs, wins, table)) <= 1e-12
+        sent = [s for s in range(len(labels)) if probs[s] > 1e-12]
+        assert [stat.signal for stat in report.signal_stats] == [labels[s] for s in sent]
+        for stat, s in zip(report.signal_stats, sent):
+            assert abs(stat.probability - probs[s]) <= 1e-12
+
+
+def _mixed_payoff_joint_pair(rng):
+    system = random_joint_system(rng, 2, 2)
+    payoffs = (float(rng.uniform(-1.0, 0.0)), float(rng.uniform(0.5, 2.0)))
+    locations = tuple(
+        dataclasses.replace(loc, payoff=pay) for loc, pay in zip(system.locations, payoffs)
+    )
+    return SystemModel(locations, system.joint)
+
+
+def test_joint_grid_search_equals_naive_candidate_loop():
+    rng = np.random.default_rng(18)
+    # Mean-zero locations stored as a joint prior: pooling every state gives
+    # posterior exactly 0, a tie that negative payoffs break toward leaving.
+    tied = SystemModel(
+        (
+            LocationModel("a", ("bad", "good"), (0.5, 0.5), (-1.0, 1.0), -1.0),
+            LocationModel("b", ("bad", "good"), (0.75, 0.25), (-1.0, 3.0), -0.5),
+        ),
+        (0.375, 0.375, 0.125, 0.125),
+    )
+    for system in [_mixed_payoff_joint_pair(rng) for _ in range(3)] + [tied]:
+        naive = max(
+            evaluate(system, mech, best_response(system, mech)).throughput
+            for mech in _all_grid_candidates(system, 0.25)
+        )
+        _, found = grid_search_decentralized(system, 0.25)
+        assert found == pytest.approx(naive, abs=1e-12)
+
+
+def test_joint_grid_search_winner_reevaluates_to_its_score():
+    rng = np.random.default_rng(19)
+    for make in (_mixed_payoff_joint_pair, lambda r: random_joint_system(r, 2, 2)):
+        system = make(rng)
+        mech, found = grid_search_decentralized(system, 0.05)
+        check = evaluate(system, mech, best_response(system, mech))
+        assert check.throughput == pytest.approx(found, abs=1e-12)
