@@ -43,7 +43,6 @@ from .model import (
     LocationModel,
     LocationSignaling,
     PreconditionError,
-    SignalStat,
     SolverError,
     SystemModel,
     binary_mechanism,

@@ -22,35 +22,32 @@ from .model import (
 )
 
 
-def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearProgram:
-    """Obedience LP with one variable per (state tuple, recommendation).
+def obedience_lp(mu: np.ndarray, util: np.ndarray, weights: np.ndarray) -> LinearProgram:
+    """Obedience LP for prior ``mu`` (S,), utilities ``util`` (S, K), weights (K,).
 
-    Variable layout: index(state w, action a) = w * (K + 1) + a, states
-    in the canonical mixed-radix order.  The constraint order is the
-    K*K deviation rows (including the trivially tight a = b rows), the K
-    join-beats-leaving rows, the K leave rows, then one row-sum equality
-    per state.  With ``weighted`` the objective weighs location k's
-    recommendation mass by its payoff instead of 1.
+    One variable per (state w, recommendation a), at index
+    w * (K + 1) + a; a = 0 is leave.  The constraint order is the
+    K*(K-1) deviation rows (recommended k beats each other location l,
+    k-major), the K join-beats-leaving rows, the K leave rows, then one
+    row-sum equality per state.  The objective weighs location k's
+    recommendation mass by ``weights[k]``.  With K = 1 this is the
+    single-location persuasion problem.
     """
-    require_valid(system)
-    num_locs = system.num_locations
-    num_states = system.state_count
+    num_states, num_locs = util.shape
     num_actions = num_locs + 1
-    mu = system.joint_vector
-    util = system.utility_matrix  # (states, K)
     mass = (mu[:, None] * util).T  # (K, states): mu(w) u_k(w)
     locs = np.arange(num_locs)
 
-    weights = np.asarray(system.payoffs if weighted else np.ones(num_locs))
     objective = np.zeros((num_states, num_actions))
     objective[:, 1:] = mu[:, None] * weights
 
     # Each row block is viewed as (rows, state, action) to fill by index.
-    num_dev = num_locs * num_locs
+    num_dev = num_locs * (num_locs - 1)
     matrix = np.zeros((num_dev + 2 * num_locs + num_states, num_states * num_actions))
-    deviation = matrix[:num_dev].reshape(num_locs, num_locs, num_states, num_actions)
+    deviation = matrix[:num_dev].reshape(num_locs, num_locs - 1, num_states, num_actions)
     for k in range(num_locs):
-        deviation[k, :, :, k + 1] = (mu[:, None] * (util[:, k : k + 1] - util)).T
+        others = util[:, locs != k]
+        deviation[k, :, :, k + 1] = (mu[:, None] * (util[:, k : k + 1] - others)).T
     join = matrix[num_dev : num_dev + num_locs].reshape(num_locs, num_states, num_actions)
     join[locs, :, locs + 1] = mass
     leave = matrix[num_dev + num_locs : num_dev + 2 * num_locs]
@@ -64,18 +61,35 @@ def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearP
     return LinearProgram(objective.reshape(-1), matrix, relations, rhs)
 
 
-def uninformative_basis(system: SystemModel) -> np.ndarray:
-    """Variable x(w, a*) for every state w: the same recommendation everywhere.
+def uninformative_start(mu: np.ndarray, util: np.ndarray) -> np.ndarray:
+    """Start basis of :func:`obedience_lp`: x(w, a*), one recommendation in every state.
 
-    a* is the location with the largest prior-mean utility if that mean
-    is positive, else 0 (leave).  Following a* is then a best response
-    to the prior, so this point satisfies every obedience row, for any
-    prior and objective, and is a feasible basis of the obedience LP.
+    a* is the location with the largest prior-mean utility ``mu @ util``
+    if that mean is positive, else 0 (leave).  Following a* is then a
+    best response to the prior, so this point satisfies every obedience
+    row, for any objective, and is a feasible basis of the obedience LP.
     """
-    means = system.joint_vector @ system.utility_matrix
+    means = mu @ util
     best = int(np.argmax(means))
     action = best + 1 if means[best] > 0.0 else 0
-    return np.arange(system.state_count) * (system.num_locations + 1) + action
+    num_states, num_locs = util.shape
+    return np.arange(num_states) * (num_locs + 1) + action
+
+
+def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearProgram:
+    """The system's obedience LP (see :func:`obedience_lp`), states in mixed-radix order.
+
+    With ``weighted`` the objective weighs location k's recommendation
+    mass by its payoff instead of 1.
+    """
+    require_valid(system)
+    weights = np.asarray(system.payoffs if weighted else np.ones(system.num_locations))
+    return obedience_lp(system.joint_vector, system.utility_matrix, weights)
+
+
+def uninformative_basis(system: SystemModel) -> np.ndarray:
+    """The uninformative start (see :func:`uninformative_start`) of the system's LP."""
+    return uninformative_start(system.joint_vector, system.utility_matrix)
 
 
 def obedient_strategy(num_locations: int) -> CustomerStrategy:

@@ -29,6 +29,7 @@ from .model import (
     CentralizedMechanism,
     CustomerStrategy,
     DecentralizedMechanism,
+    EvaluationReport,
     InputError,
     PreconditionError,
     SolverError,
@@ -94,6 +95,11 @@ def _parse_floats(text: str) -> list[float]:
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
+
+
+def _respond(system: SystemModel, mech: oracle.Mechanism) -> EvaluationReport:
+    """Evaluate ``mech`` under the customer's best response to it."""
+    return oracle.evaluate(system, mech, oracle.best_response(system, mech))
 
 
 def _centralized_lines(system: SystemModel, mech: CentralizedMechanism) -> list[str]:
@@ -184,8 +190,7 @@ def solve(ctx, instance, mode, fallback, summary_here):
                     )
                 central, report = centralized.solve_centralized(system)
                 mech = decentralized.correlated_fallback(system, central)
-                strategy = oracle.best_response(system, mech)
-                fb = oracle.evaluate(system, mech, strategy)
+                fb = _respond(system, mech)
                 lines.append(f"Th_fallback = {fb.throughput:.6f}")
                 lines.append(f"Th_centralized = {report.throughput:.6f}")
                 lines.append(f"guarantee = Th_centralized/K = "
@@ -195,8 +200,8 @@ def solve(ctx, instance, mode, fallback, summary_here):
             else:
                 mech, _, report = decentralized.compose_optimal(system)
                 iso = [
-                    decentralized.solve_isolated(loc, k).th_iso
-                    for k, loc in enumerate(system.locations)
+                    float(loc.prior_array() @ part.table[:, 1])
+                    for loc, part in zip(system.locations, mech.parts)
                 ]
                 lines.append(f"Th_D = {report.throughput:.6f}")
                 lines.append("Th_iso = " + " ".join(f"{v:.6f}" for v in iso))
@@ -226,8 +231,7 @@ def solve(ctx, instance, mode, fallback, summary_here):
                 if mode == "full-info"
                 else oracle.no_information(system)
             )
-            strategy = oracle.best_response(system, mech)
-            report = oracle.evaluate(system, mech, strategy)
+            report = _respond(system, mech)
             lines.append(f"Th = {report.throughput:.6f}")
             lines.append(
                 "T_k = " + " ".join(f"{v:.6f}" for v in report.per_location_throughput)
@@ -265,13 +269,13 @@ def compare(ctx, instance):
         )
     else:
         fb_mech = decentralized.correlated_fallback(system, central_mech)
-        fb = oracle.evaluate(system, fb_mech, oracle.best_response(system, fb_mech))
+        fb = _respond(system, fb_mech)
         rows.append(("fallback", fb.throughput, ratio(fb.throughput), _fmt(1.0 / k)))
     for name, mech in (
         ("full-info", oracle.full_information(system)),
         ("no-info", oracle.no_information(system)),
     ):
-        rep = oracle.evaluate(system, mech, oracle.best_response(system, mech))
+        rep = _respond(system, mech)
         rows.append((name, rep.throughput, ratio(rep.throughput), ""))
 
     buffer = io.StringIO()
@@ -369,9 +373,7 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
             system = random_joint_system(rng, k, 2)
             central_mech, central = centralized.solve_centralized(system)
             fb_mech = decentralized.correlated_fallback(system, central_mech)
-            fb = oracle.evaluate(
-                system, fb_mech, oracle.best_response(system, fb_mech)
-            )
+            fb = _respond(system, fb_mech)
             slack = fb.throughput - central.throughput / k
             results.append((slack >= -tol, slack))
             if slack < -tol and not failures:
@@ -482,9 +484,7 @@ def sweep(ctx, generator, k_range, x_list):
                 system = bounds.make_correlated_instance(k, x)
                 central_mech, central = centralized.solve_centralized(system)
                 fb_mech = decentralized.correlated_fallback(system, central_mech)
-                fb = oracle.evaluate(
-                    system, fb_mech, oracle.best_response(system, fb_mech)
-                )
+                fb = _respond(system, fb_mech)
                 th, th_d = central.throughput, fb.throughput
                 rat = th_d / th if th > 0 else 1.0
                 writer.writerow([k, _fmt(x), _fmt(th), _fmt(th_d), _fmt(rat)] + consts)

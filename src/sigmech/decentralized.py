@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .lp import GREATER, LinearProgram, LpStatus, solve
+from .centralized import obedience_lp, uninformative_start
+from .lp import LpStatus, solve
 from .model import (
     PROB_TOL,
     ZERO_MASS,
@@ -63,31 +64,23 @@ class ObedienceVerdict:
 def solve_isolated(location: LocationModel, index: int = 0) -> IsolatedSolution:
     """Maximize the join probability of one location in isolation.
 
-    Variables are sigma(1|state); signal 1 must have nonnegative
-    posterior utility and signal 0 nonpositive.
+    This is the obedience LP with K = 1, the single-location persuasion
+    problem of Kamenica and Gentzkow: recommend join (signal 1) or leave
+    (signal 0) in each state so that both recommendations are obeyed.
+    It is solved from the uninformative recommendation, and its (n, 2)
+    solution is the location's signal table.
     """
     prior = location.prior_array()
-    util = location.utility_array()
-    n = location.num_states
-    weighted = prior * util
-    bounds = np.zeros((n, 2))
-    bounds[:, 1] = 1.0
-    lp = LinearProgram(
-        prior,
-        np.array([weighted, weighted]),
-        (GREATER, GREATER),
-        (0.0, float(np.dot(prior, util))),
-        bounds,
-    )
-    solution = solve(lp)
+    util = location.utility_array()[:, None]
+    lp = obedience_lp(prior, util, np.ones(1))
+    solution = solve(lp, uninformative_start(prior, util))
     if solution.status is not LpStatus.OPTIMAL:
         raise SolverError(
             f"isolated LP for location {index} reported {solution.status.value}; "
-            "never signaling 1 is always feasible"
+            "it must be bounded"
         )
-    ones = np.asarray(solution.x)
-    part = LocationSignaling((0, 1), np.column_stack([1.0 - ones, ones]))
-    return IsolatedSolution(index, part, float(solution.objective_value))
+    part = LocationSignaling((0, 1), np.reshape(solution.x, (location.num_states, 2)))
+    return IsolatedSolution(index, part, solution.objective_value)
 
 
 def _signal_one_posteriors(system: SystemModel, mech: DecentralizedMechanism) -> np.ndarray:

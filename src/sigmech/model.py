@@ -421,16 +421,6 @@ class CustomerStrategy:
         return problems
 
 
-@dataclass(frozen=True)
-class SignalStat:
-    """Per-signal diagnostics for an evaluation."""
-
-    signal: object
-    probability: float
-    posterior_utilities: tuple[float, ...]
-    chosen_action: int
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """Throughput, value, and diagnostics for one (mechanism, strategy) pair.
@@ -443,6 +433,5 @@ class EvaluationReport:
     throughput: float
     value: float
     per_location_throughput: tuple[float, ...]
-    signal_stats: tuple[SignalStat, ...]
     strategy_optimal: bool
     worst_slack: float

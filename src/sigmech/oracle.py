@@ -25,7 +25,6 @@ from .model import (
     EvaluationReport,
     InputError,
     LocationSignaling,
-    SignalStat,
     SystemModel,
     binary_mechanism,
     require_valid,
@@ -117,7 +116,7 @@ def best_response(system: SystemModel, mech: Mechanism) -> CustomerStrategy:
 
 
 def evaluate(system: SystemModel, mech: Mechanism, strategy: CustomerStrategy) -> EvaluationReport:
-    """Exact throughput, value, and per-signal diagnostics."""
+    """Exact throughput, value, and the strategy's worst optimality slack."""
     labels, probs, wins = _signal_masses(system, mech)
     num_actions = system.num_locations + 1
     if strategy.table.shape != (len(labels), num_actions):
@@ -139,20 +138,10 @@ def evaluate(system: SystemModel, mech: Mechanism, strategy: CustomerStrategy) -
     sent = probs > ZERO_MASS
     played = (strategy.table.T > ZERO_MASS) & sent
     worst = float(np.min(gains - gains.max(axis=0), where=played, initial=0.0))
-    stats = tuple(
-        SignalStat(labels[s], prob, tuple(post), action)
-        for s, prob, post, action in zip(
-            np.flatnonzero(sent).tolist(),
-            probs[sent].tolist(),
-            (wins[:, sent] / probs[sent]).T.tolist(),
-            np.argmax(strategy.table[sent], axis=1).tolist(),
-        )
-    )
     return EvaluationReport(
         throughput=throughput,
         value=value,
         per_location_throughput=tuple(float(v) for v in per_location),
-        signal_stats=stats,
         strategy_optimal=worst >= -1e-7,
         worst_slack=worst,
     )

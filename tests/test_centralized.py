@@ -1,5 +1,6 @@
 """Centralized LP construction and solution tests."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from sigmech.centralized import (
 )
 from sigmech.decentralized import compose_optimal
 from sigmech.instances import random_independent_system, random_joint_system
-from sigmech.lp import EQUAL, GREATER, LESS, LpStatus, solve, violation_at
+from sigmech.lp import EQUAL, GREATER, LESS, violation_at
 from sigmech.model import LocationModel, SystemModel
 from sigmech.oracle import best_response, evaluate, full_information, no_information
 
@@ -41,7 +42,7 @@ def test_lp_dimensions_single_location():
     lp = build_centralized_lp(single_location())
     assert lp.n_vars == 4  # 2 states x 2 actions
     kinds = _constraint_counts(lp)
-    assert kinds[GREATER] == 2  # k=l deviation row (trivial) + join row
+    assert kinds[GREATER] == 1  # the join row; K = 1 has no deviation rows
     assert kinds[LESS] == 1
     assert kinds[EQUAL] == 2
 
@@ -50,9 +51,18 @@ def test_lp_dimensions_two_binary_locations():
     lp = build_centralized_lp(make_tightness_instance(2, 3.0).system)
     assert lp.n_vars == 12  # 4 states x 3 actions
     kinds = _constraint_counts(lp)
-    assert kinds[GREATER] == 4 + 2
+    assert kinds[GREATER] == 2 + 2  # K*(K-1) deviation rows + K join rows
     assert kinds[LESS] == 2
     assert kinds[EQUAL] == 4
+
+
+def test_no_constraint_row_is_all_zero():
+    for kind, seed in itertools.product(("independent", "joint", "weighted"), range(5)):
+        system = _random_system(seed, kind)
+        lp = build_centralized_lp(system, kind == "weighted")
+        k = system.num_locations
+        assert lp.n_constraints == k * (k - 1) + 2 * k + system.state_count
+        assert np.abs(lp.matrix).sum(axis=1).min() > 0.0
 
 
 def test_lp_dimensions_correlated_pair():
@@ -200,17 +210,29 @@ def _random_system(seed: int, kind: str) -> SystemModel:
     weighted=st.booleans(),
 )
 def test_warm_start_matches_two_phase_solve(seed, kind, weighted):
-    """The warm-started solve equals an independent two-phase solve of the same LP."""
+    """The warm-started solve equals HiGHS on the same LP, a solver sharing no code with it."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     system = _random_system(seed, kind)
     lp = build_centralized_lp(system, weighted)
     start = np.zeros(lp.n_vars)
     start[uninformative_basis(system)] = 1.0
     assert violation_at(lp, start) <= 1e-12
-    cold = solve(lp)
-    assert cold.status is LpStatus.OPTIMAL
+    ineq = lp.senses != 0  # written as <= rows for linprog
+    reference = linprog(
+        -lp.objective,
+        A_ub=lp.matrix[ineq] * lp.senses[ineq, None],
+        b_ub=lp.rhs[ineq] * lp.senses[ineq],
+        A_eq=lp.matrix[~ineq],
+        b_eq=lp.rhs[~ineq],
+        method="highs",
+        # HiGHS's default 1e-7 tolerances would skip state masses below them.
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert reference.status == 0
     _, report = solve_centralized(system, weighted)
     value = report.value if weighted else report.throughput
-    assert abs(value - cold.objective_value) <= 1e-9
+    assert abs(value + reference.fun) <= 1e-9
 
 
 def test_uninformative_basis_recommends_the_best_positive_mean():
@@ -278,6 +300,8 @@ def _rows_by_loop(system, weighted):
             objective[w * (k_count + 1) + k + 1] = mu[w] * weight
     for k in range(k_count):
         for other in range(k_count):
+            if other == k:
+                continue
             rows.append(row_with(k + 1, mu * (util[:, k] - util[:, other])))
             relations.append(GREATER)
             rhs.append(0.0)

@@ -223,6 +223,17 @@ def test_sweep_tightness_ratio_approaches_guarantee(runner):
         assert guarantee <= ratio <= guarantee + 1e-3
 
 
+def test_sweep_tightness_solves_k2_to_k10(runner):
+    result = runner.invoke(main, ["sweep", "tightness", "--K", "2..10"])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [int(row["K"]) for row in rows] == list(range(2, 11))
+    for row in rows:
+        inst = make_tightness_instance(int(row["K"]), float(row["X"]))
+        assert float(row["Th"]) == pytest.approx(1.0, abs=1e-7)
+        assert float(row["Th_D"]) == pytest.approx(inst.predicted_decentralized, abs=1e-8)
+
+
 def test_sweep_pair_row_constants(runner):
     result = runner.invoke(main, ["sweep", "correlated", "--K", "2..2", "--X", "10"])
     row = next(csv.DictReader(io.StringIO(result.output)))

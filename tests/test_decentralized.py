@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmech.bounds import (
     independence_guarantee,
@@ -98,6 +100,50 @@ def test_isolated_hopeless_and_eager_locations():
     eager = location(p=0.8)  # mean utility 0.6
     sol = solve_isolated(eager)
     assert sol.th_iso == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 20), min_size=2, max_size=6).filter(any),
+    data=st.data(),
+)
+def test_isolated_matches_highs_on_the_bounded_formulation(counts, data):
+    """th_iso equals HiGHS on max prior.x s.t. both posteriors obeyed, 0 <= x <= 1.
+
+    Priors are count ratios and utilities lie on a 1e-3 grid: HiGHS drops
+    constraint coefficients below 1e-9, so finer masses would change its LP.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = len(counts)
+    util = data.draw(st.lists(st.integers(-3000, 3000), min_size=n, max_size=n))
+    prior = np.array(counts) / sum(counts)
+    loc = LocationModel(
+        "a", tuple(f"s{i}" for i in range(n)), tuple(prior), tuple(np.array(util) / 1000)
+    )
+    weighted = loc.prior_array() * loc.utility_array()
+    # signal 1: weighted.x >= 0; signal 0: weighted.(1 - x) <= 0.
+    reference = linprog(
+        -loc.prior_array(),
+        A_ub=-np.array([weighted, weighted]),
+        b_ub=[0.0, -float(weighted.sum())],
+        bounds=(0.0, 1.0),
+        method="highs",
+        # HiGHS's default 1e-7 tolerances would skip state masses below them.
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert reference.status == 0
+    assert abs(solve_isolated(loc).th_iso + reference.fun) <= 1e-9
+
+
+def test_isolated_equals_the_one_location_centralized_lp():
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        system = random_independent_system(rng, 1, (2, 4))
+        sol = solve_isolated(system.locations[0])
+        mech, report = solve_centralized(system)
+        assert sol.th_iso == report.throughput
+        assert np.array_equal(sol.mechanism.table, mech.table)
 
 
 def test_compose_two_identical_locations():

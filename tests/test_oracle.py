@@ -427,10 +427,6 @@ def test_product_form_oracles_match_dense_reference(seed, joint):
         assert abs(report.throughput - per_location.sum()) <= 1e-12
         assert abs(report.value - per_location @ system.payoffs) <= 1e-12
         assert abs(report.worst_slack - _reference_worst_slack(probs, wins, table)) <= 1e-12
-        sent = [s for s in range(len(labels)) if probs[s] > 1e-12]
-        assert [stat.signal for stat in report.signal_stats] == [labels[s] for s in sent]
-        for stat, s in zip(report.signal_stats, sent):
-            assert abs(stat.probability - probs[s]) <= 1e-12
 
 
 def _mixed_payoff_joint_pair(rng):
