@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import InputError, LocationModel, SystemModel, joint_index
+from .oracle import _grid_values, _location_combos
 
 
 def independence_guarantee(num_locations: int) -> float:
@@ -89,10 +90,25 @@ def correlated_upper_bound(num_locations: int) -> float:
     return (1.0 + k * solve_balanced_share(k)) / (1.0 + k)
 
 
+def join_envelope(profiles: np.ndarray) -> np.ndarray:
+    """sum_k min(u_k, (1 - mean of the other u)^(K-1)) for each profile.
+
+    ``profiles`` has the K shares on its last axis; the result drops it.
+    """
+    profiles = np.asarray(profiles, dtype=float)
+    k = profiles.shape[-1]
+    totals = profiles.sum(axis=-1)
+    score = np.zeros(totals.shape)
+    for j in range(k):
+        base = np.maximum(1.0 - (totals - profiles[..., j]) / (k - 1), 0.0)
+        score += np.minimum(profiles[..., j], base ** (k - 1))
+    return score
+
+
 def max_join_bound(
     num_locations: int, resolution: float = 0.01, mode: str = "auto"
 ) -> tuple[tuple[float, ...], float]:
-    """Maximize sum_k min(u_k, (1 - mean of the other u)^(K-1)) over [0,1]^K.
+    """Maximize :func:`join_envelope` over [0,1]^K.
 
     ``full`` mode scans the grid {0, resolution, ..., 1}^K (K <= 4);
     ``symmetric`` mode uses the reduction to max{K z : z <= (1-z)^(K-1)},
@@ -114,19 +130,8 @@ def max_join_bound(
     if k > 4:
         raise InputError("full-grid mode is capped at 4 locations")
 
-    steps = 1.0 / resolution
-    if abs(steps - round(steps)) < 1e-9:
-        values = np.linspace(0.0, 1.0, int(round(steps)) + 1)
-    else:
-        values = np.arange(0.0, 1.0 + 1e-12, resolution)
-        if values[-1] < 1.0 - 1e-12:
-            values = np.append(values, 1.0)
-    grid = np.stack(np.meshgrid(*([values] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    totals = grid.sum(axis=1)
-    score = np.zeros(grid.shape[0])
-    for j in range(k):
-        base = np.maximum(1.0 - (totals - grid[:, j]) / (k - 1), 0.0)
-        score += np.minimum(grid[:, j], base ** (k - 1))
+    grid = _location_combos(_grid_values(resolution), k)
+    score = join_envelope(grid)
     arg = int(np.argmax(score))
     return tuple(float(v) for v in grid[arg]), float(score[arg])
 

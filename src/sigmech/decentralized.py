@@ -12,9 +12,8 @@ import numpy as np
 
 from . import oracle
 from .centralized import obedience_lp, uninformative_start
-from .lp import LpStatus, solve
+from .lp import solve
 from .model import (
-    PROB_TOL,
     ZERO_MASS,
     CentralizedMechanism,
     CustomerStrategy,
@@ -24,8 +23,8 @@ from .model import (
     LocationModel,
     LocationSignaling,
     PreconditionError,
-    SolverError,
     SystemModel,
+    binary_mechanism,
     require_valid,
 )
 
@@ -74,11 +73,6 @@ def solve_isolated(location: LocationModel, index: int = 0) -> IsolatedSolution:
     util = location.utility_array()[:, None]
     lp = obedience_lp(prior, util, np.ones(1))
     solution = solve(lp, uninformative_start(prior, util))
-    if solution.status is not LpStatus.OPTIMAL:
-        raise SolverError(
-            f"isolated LP for location {index} reported {solution.status.value}; "
-            "it must be bounded"
-        )
     part = LocationSignaling((0, 1), np.reshape(solution.x, (location.num_states, 2)))
     return IsolatedSolution(index, part, solution.objective_value)
 
@@ -145,10 +139,8 @@ def compose_optimal(
 def check_obedience(system: SystemModel, mech: DecentralizedMechanism) -> ObedienceVerdict:
     """Decide whether a binary-signal mechanism admits an optimal join-on-1 strategy.
 
-    Condition (I): some location never sends 0 (on positive-prior
-    states), has nonnegative prior-mean utility, and beats every other
-    location's signal-0 utility mass.  Condition (II): every location's
-    signal-1 utility mass is nonnegative and signal-0 mass nonpositive.
+    Applies :func:`oracle.obedience_conditions` to the mechanism alone.
+    Condition (I) is reported first, with its smallest witness location.
     """
     require_valid(system)
     if system.prior_mode != "independent":
@@ -156,36 +148,15 @@ def check_obedience(system: SystemModel, mech: DecentralizedMechanism) -> Obedie
     if mech.num_locations != system.num_locations or not mech.is_binary:
         raise InputError("check_obedience needs binary signals (0, 1) per location")
 
-    num_locs = system.num_locations
-    priors = [loc.prior_array() for loc in system.locations]
-    utils = [loc.utility_array() for loc in system.locations]
-    zero_mass = [float(np.dot(priors[k], mech.parts[k].table[:, 0])) for k in range(num_locs)]
-    zero_util = [
-        float(np.dot(priors[k] * utils[k], mech.parts[k].table[:, 0]))
-        for k in range(num_locs)
+    terms = [
+        oracle.obedience_terms(loc, part.table[None, :, 0], part.table[None, :, 1])
+        for loc, part in zip(system.locations, mech.parts)
     ]
-    one_util = [
-        float(np.dot(priors[k] * utils[k], mech.parts[k].table[:, 1]))
-        for k in range(num_locs)
-    ]
-    mean_util = [float(np.dot(priors[k], utils[k])) for k in range(num_locs)]
-
-    for k in range(num_locs):
-        never_zero = float(np.max(priors[k] * mech.parts[k].table[:, 0])) <= ZERO_MASS
-        if not never_zero or mean_util[k] < -PROB_TOL:
-            continue
-        if all(
-            zero_mass[l] * mean_util[k] >= zero_util[l] - PROB_TOL
-            for l in range(num_locs)
-            if l != k
-        ):
-            return ObedienceVerdict(CONDITION_I, k)
-
-    if all(
-        one_util[k] >= -PROB_TOL and zero_util[k] <= PROB_TOL for k in range(num_locs)
-    ):
-        return ObedienceVerdict(CONDITION_II)
-    return ObedienceVerdict(NEITHER)
+    cond_i, cond_ii = oracle.obedience_conditions(terms, [np.zeros(1, dtype=int)] * len(terms))
+    witnesses = np.flatnonzero(cond_i[:, 0])
+    if witnesses.size:
+        return ObedienceVerdict(CONDITION_I, int(witnesses[0]))
+    return ObedienceVerdict(CONDITION_II if cond_ii[0] else NEITHER)
 
 
 def heterogeneous_compose(
@@ -263,28 +234,16 @@ def correlated_fallback(
     if central.table.shape[0] != system.state_count:
         raise InputError("mechanism table does not match the system's state space")
 
-    mu = system.joint_vector
-    recommended = mu[:, None] * central.table[:, 1:]  # (states, K)
-    totals = recommended.sum(axis=0)
-    pick = int(np.argmax(totals))
+    recommended = system.joint_vector[:, None] * central.table[:, 1:]  # (states, K)
+    pick = int(np.argmax(recommended.sum(axis=0)))
 
-    idx = system.state_index_matrix[:, pick]
-    n = system.locations[pick].num_states
-    numer = np.zeros(n)
-    denom = np.zeros(n)
-    np.add.at(numer, idx, recommended[:, pick])
-    np.add.at(denom, idx, mu)
-    ones = np.zeros(n)
+    numer = np.zeros(system.locations[pick].num_states)
+    np.add.at(numer, system.state_index_matrix[:, pick], recommended[:, pick])
+    denom = system.marginal(pick)
+    ones = np.zeros(numer.size)
     positive = denom > 0.0
     ones[positive] = np.clip(numer[positive] / denom[positive], 0.0, 1.0)
 
-    parts = []
-    for k, loc in enumerate(system.locations):
-        if k == pick:
-            parts.append(
-                LocationSignaling((0, 1), np.column_stack([1.0 - ones, ones]))
-            )
-        else:
-            table = np.column_stack([np.ones(loc.num_states), np.zeros(loc.num_states)])
-            parts.append(LocationSignaling((0, 1), table))
-    return DecentralizedMechanism(tuple(parts))
+    probs = [np.zeros(loc.num_states) for loc in system.locations]
+    probs[pick] = ones
+    return binary_mechanism(probs)

@@ -17,11 +17,13 @@ resulting basic solution is feasible (rhs >= -FEAS_TOL, else
 SolverError) and runs the simplex from there.  For an LP with no
 equality rows the basis is empty, which needs every rhs of a ``<=`` row
 to be nonnegative (and of a ``>=`` row nonpositive).
+
+One way out: a returned solution is optimal, and every failure,
+an unbounded LP included, raises SolverError.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -41,11 +43,6 @@ LESS = "<="
 GREATER = ">="
 EQUAL = "="
 _RELATIONS = (LESS, GREATER, EQUAL)
-
-
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
 
 
 class ConstraintRow(NamedTuple):
@@ -108,7 +105,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: LpStatus
+    """An optimal solution: its point, objective value and worst constraint breach."""
+
     x: tuple[float, ...]
     objective_value: float
     max_violation: float
@@ -192,7 +190,8 @@ class _Tableau:
         pivot_row[col] = 1.0
         self.basis[row] = col
 
-    def run(self) -> LpStatus:
+    def run(self) -> None:
+        """Pivot to optimality; raise SolverError if the LP is unbounded."""
         T = self.T
         m = self.num_rows
         n = self.num_cols
@@ -201,20 +200,21 @@ class _Tableau:
             if self.bland:
                 eligible = np.nonzero(costs > OPT_TOL)[0]
                 if eligible.size == 0:
-                    return LpStatus.OPTIMAL
+                    return
                 col = int(eligible[0])
             else:
                 col = int(np.argmax(costs))
                 if costs[col] <= OPT_TOL:
-                    return LpStatus.OPTIMAL
+                    return
             column = T[:m, col]
             positive = column > PIVOT_TOL
             if not positive.any():
-                return LpStatus.UNBOUNDED
+                raise SolverError(f"the LP is unbounded along column {col}")
             ratios = np.full(m, math.inf)
             ratios[positive] = T[:m, -1][positive] / column[positive]
-            best = float(ratios.min())
-            tied = np.nonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))[0]
+            # Only rows at the minimum ratio may leave, so every basic value
+            # stays nonnegative; ties go to the smallest basis index.
+            tied = np.nonzero(ratios <= ratios.min())[0]
             row = int(tied[np.argmin(self.basis[tied])])
             self._pivot(row, col)
             self.iterations += 1
@@ -292,14 +292,15 @@ def solve(
     *,
     _iteration_cap: int | None = None,
 ) -> LpSolution:
-    """Solve the LP from a feasible start; an unbounded LP is reported as such.
+    """Solve the LP from a feasible start and return an optimal solution.
 
     ``basis`` names one variable per equality row, in row order, whose
     columns together with every inequality row's slack form a feasible
     starting basis (see the module docstring).
 
-    Raises InputError on shape mismatches, SolverError if the pivot
-    limit is exceeded or the given basis is singular or infeasible.
+    Raises InputError on shape mismatches, SolverError if the LP is
+    unbounded, the pivot limit is exceeded or the given basis is
+    singular or infeasible.
     """
     _check_shapes(lp)
     cap = _iteration_cap
@@ -319,9 +320,7 @@ def solve(
     costs = np.zeros(tableau.num_cols)
     costs[: lp.n_vars] = lp.objective
     tableau.set_costs(costs)
-    status = tableau.run()
-    if status is LpStatus.UNBOUNDED:
-        return LpSolution(LpStatus.UNBOUNDED, (math.nan,) * lp.n_vars, math.inf, math.nan)
+    tableau.run()
 
     x = np.zeros(tableau.num_cols)
     x[tableau.basis] = tableau.T[: tableau.num_rows, -1]
@@ -333,4 +332,4 @@ def solve(
             f"simplex returned an optimal basis with violation {worst:.3g} "
             f"above the {FEAS_TOL} feasibility tolerance"
         )
-    return LpSolution(LpStatus.OPTIMAL, tuple(x.tolist()), objective, worst)
+    return LpSolution(tuple(x.tolist()), objective, worst)

@@ -27,7 +27,7 @@ import numpy as np
 PROB_TOL = 1e-9
 # Signals with probability at or below this are treated as never sent.
 ZERO_MASS = 1e-12
-# Dense joint tables above this size are refused unless overridden.
+# Dense joint tables above this size are refused.
 JOINT_TABLE_LIMIT = 1 << 20
 
 
@@ -122,21 +122,18 @@ class SystemModel:
 
     locations: tuple[LocationModel, ...]
     joint: tuple[float, ...] | None = None
-    allow_large_joint: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "locations", tuple(self.locations))
         if not self.locations:
             raise InputError("a system needs at least one location")
         if self.joint is not None:
-            joint = tuple(float(p) for p in self.joint)
-            if self.state_count > JOINT_TABLE_LIMIT and not self.allow_large_joint:
+            if self.state_count > JOINT_TABLE_LIMIT:
                 raise InputError(
                     f"joint table with {self.state_count} entries exceeds the "
-                    f"{JOINT_TABLE_LIMIT}-entry guard; pass allow_large_joint=True "
-                    "to override"
+                    f"{JOINT_TABLE_LIMIT}-entry guard"
                 )
-            object.__setattr__(self, "joint", joint)
+            object.__setattr__(self, "joint", tuple(float(p) for p in self.joint))
 
     @property
     def num_locations(self) -> int:
@@ -327,11 +324,6 @@ class LocationSignaling:
     @property
     def is_binary(self) -> bool:
         return self.signals == (0, 1)
-
-    def signal_one_probs(self) -> np.ndarray:
-        if not self.is_binary:
-            raise InputError("signal-1 probabilities need binary signals (0, 1)")
-        return self.table[:, 1]
 
 
 @dataclass(frozen=True, eq=False)

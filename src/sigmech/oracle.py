@@ -1,5 +1,6 @@
-"""Exact oracles: best response, evaluation, baseline mechanisms, and grid
-search over binary decentralized mechanisms.
+"""Exact oracles: best response, evaluation, baseline mechanisms, the
+binary-signal obedience rule, and grid search over binary decentralized
+mechanisms.
 
 Every signal's probability and posterior utilities are computed exactly,
 with no sampling, so these are the ground truth the solvers are tested
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .model import (
     DecentralizedMechanism,
     EvaluationReport,
     InputError,
+    LocationModel,
     LocationSignaling,
     SystemModel,
     binary_mechanism,
@@ -165,6 +167,59 @@ def no_information(system: SystemModel) -> DecentralizedMechanism:
     return DecentralizedMechanism(tuple(parts))
 
 
+class ObedienceTerms(NamedTuple):
+    """One location's obedience terms, one entry per candidate binary table."""
+
+    zero_mass: np.ndarray  # prior mass of signal 0
+    zero_util: np.ndarray  # utility mass of signal 0
+    one_util: np.ndarray  # utility mass of signal 1
+    never_zero: np.ndarray  # signal 0 is never sent on a positive-prior state
+    mean_util: float  # prior-mean utility
+
+
+def obedience_terms(loc: LocationModel, zero: np.ndarray, one: np.ndarray) -> ObedienceTerms:
+    """Obedience terms of candidate signal-0 and signal-1 tables ``(candidates, n_k)``."""
+    prior = loc.prior_array()
+    util = loc.utility_array()
+    weighted = prior * util
+    return ObedienceTerms(
+        zero @ prior,
+        zero @ weighted,
+        one @ weighted,
+        np.max(prior * zero, axis=1) <= ZERO_MASS,
+        float(np.dot(prior, util)),
+    )
+
+
+def obedience_conditions(
+    terms: Sequence[ObedienceTerms], rows: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The binary-signal obedience conditions of candidate mechanisms.
+
+    Candidate i uses row ``rows[k][i]`` of location k's terms.  Condition
+    (I) with witness k: location k never sends 0, has nonnegative
+    prior-mean utility, and that mean times every other location's
+    signal-0 mass covers its signal-0 utility mass.  Condition (II):
+    every location's signal-1 utility mass is nonnegative and signal-0
+    utility mass nonpositive.  Either one means the mechanism admits an
+    optimal join-on-1 strategy.  Returns condition (I) per witness
+    location, shape ``(K, m)``, and condition (II), shape ``(m,)``.
+    """
+    cond_ii = np.ones(rows[0].size, dtype=bool)
+    for t, r in zip(terms, rows):
+        cond_ii &= ((t.one_util >= -PROB_TOL) & (t.zero_util <= PROB_TOL))[r]
+    cond_i = np.zeros((len(terms), rows[0].size), dtype=bool)
+    for k, witness in enumerate(terms):
+        if witness.mean_util < -PROB_TOL:
+            continue
+        held = witness.never_zero[rows[k]]
+        for l, (other, r) in enumerate(zip(terms, rows)):
+            if l != k:
+                held &= (other.zero_mass * witness.mean_util >= other.zero_util - PROB_TOL)[r]
+        cond_i[k] = held
+    return cond_i, cond_ii
+
+
 def _grid_values(resolution: float) -> np.ndarray:
     if not 0.0 < resolution < 1.0:
         raise InputError(f"resolution must lie in (0, 1), got {resolution}")
@@ -219,36 +274,7 @@ def grid_search_decentralized(
     rest_total = math.prod(counts[1:])
 
     if obedient_only:
-        priors = [loc.prior_array() for loc in system.locations]
-        utils = [loc.utility_array() for loc in system.locations]
-        # Per-combo aggregates: column u is the signal-u mass (and utility mass).
-        agg_p = []
-        agg_w = []
-        for k in range(num_locs):
-            x = combos[k]
-            agg_p.append(np.column_stack([(1.0 - x) @ priors[k], x @ priors[k]]))
-            agg_w.append(
-                np.column_stack(
-                    [(1.0 - x) @ (priors[k] * utils[k]), x @ (priors[k] * utils[k])]
-                )
-            )
-        obedient_masks = [
-            (agg_w[k][:, 1] >= -PROB_TOL) & (agg_w[k][:, 0] <= PROB_TOL)
-            for k in range(num_locs)
-        ]
-        cond_i_masks = []
-        for k in range(num_locs):
-            never_zero = np.max(priors[k][None, :] * (1.0 - combos[k]), axis=1) <= ZERO_MASS
-            mean_util = float(np.dot(priors[k], utils[k]))
-            if mean_util < -PROB_TOL:
-                cond_i_masks.append(None)
-                continue
-            cross = [
-                agg_p[l][:, 0] * mean_util >= agg_w[l][:, 0] - PROB_TOL
-                for l in range(num_locs)
-                if l != k
-            ]
-            cond_i_masks.append((never_zero, cross))
+        terms = [obedience_terms(loc, 1.0 - c, c) for loc, c in zip(system.locations, combos)]
     else:
         # weights[r, (a, w_1)] is the mass [mu; mu*u_1; ...; mu*u_K][a] of the
         # state with location-1 index w_1 and other-locations index r.
@@ -273,23 +299,11 @@ def grid_search_decentralized(
 
         if obedient_only:
             rows = [np.tile(rows[0], block.size)] + [np.repeat(r, head) for r in rows[1:]]
-            cond_ii = np.ones(rows[0].size, dtype=bool)
-            for k in range(num_locs):
-                cond_ii &= obedient_masks[k][rows[k]]
-            allowed = cond_ii
-            for k in range(num_locs):
-                if cond_i_masks[k] is None:
-                    continue
-                never_zero, cross = cond_i_masks[k]
-                mask = never_zero[rows[k]].copy()
-                others = [l for l in range(num_locs) if l != k]
-                for cross_mask, l in zip(cross, others):
-                    mask &= cross_mask[rows[l]]
-                allowed |= mask
+            cond_i, cond_ii = obedience_conditions(terms, rows)
             miss = np.ones(rows[0].size)
-            for k in range(num_locs):
-                miss *= agg_p[k][rows[k], 0]
-            scores = np.where(allowed, 1.0 - miss, -math.inf)
+            for t, r in zip(terms, rows):
+                miss *= t.zero_mass[r]
+            scores = np.where(cond_ii | cond_i.any(axis=0), 1.0 - miss, -math.inf)
         else:
             scores = np.zeros((block.size, head))
             rest_signal = [(1.0 - combos[k][rows[k]], combos[k][rows[k]])

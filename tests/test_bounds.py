@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sigmech.bounds import (
     correlated_upper_bound,
     independence_guarantee,
+    join_envelope,
     make_correlated_instance,
     make_tightness_instance,
     max_join_bound,
@@ -112,11 +113,20 @@ def test_max_join_bound_symmetric_matches_balanced_share():
     assert value == pytest.approx(3.0 * (3.0 - math.sqrt(5.0)) / 2.0, abs=1e-9)
 
 
+def test_join_envelope_at_the_balanced_profile_is_k_times_the_share():
+    for k in range(2, 33):
+        share = solve_balanced_share(k)
+        assert float(join_envelope(np.full(k, share))) == pytest.approx(k * share, abs=1e-12)
+    # each share is capped by what the others leave: (0.8, 0.8) scores 0.2 + 0.2
+    assert join_envelope(np.array([[0.5, 0.5], [0.8, 0.8]])) == pytest.approx([1.0, 0.4])
+
+
 def test_max_join_bound_full_grid_agrees_with_symmetric():
     for k, resolution in ((2, 0.01), (3, 0.01), (4, 0.05)):
-        _, full = max_join_bound(k, resolution, mode="full")
+        profile, full = max_join_bound(k, resolution, mode="full")
         _, symmetric = max_join_bound(k, mode="symmetric")
         assert abs(full - symmetric) <= k * resolution
+        assert float(join_envelope(np.array(profile))) == full
 
 
 def test_max_join_bound_zero_profile_scores_zero():

@@ -254,6 +254,13 @@ def test_former_k6_stall_instance_solves_to_decentralized_optimum():
     assert abs(central.throughput - dec.throughput) <= 1e-7
 
 
+def test_correlated_k7_solves_to_full_throughput():
+    # A ratio test that let a row above the minimum ratio leave the basis
+    # drove a basic value to -0.00114 on this instance.
+    _, report = solve_centralized(make_correlated_instance(7, 1000.0))
+    assert abs(report.throughput - 1.0) <= 1e-9
+
+
 def test_tightness_k10_large_scale_reaches_full_throughput():
     inst = make_tightness_instance(10, 1000.0)
     _, report = solve_centralized(inst.system)

@@ -10,7 +10,6 @@ from sigmech.lp import (
     GREATER,
     LESS,
     LinearProgram,
-    LpStatus,
     solve,
     violation_at,
 )
@@ -65,20 +64,19 @@ def enumerate_vertices(lp):
 def test_single_variable_optimum():
     lp = LinearProgram((1.0,), [[1.0]], (LESS,), (1.0,))
     sol = solve(lp, [])
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.x == (1.0,)
     assert sol.objective_value == 1.0
 
 
 def test_unbounded_reported():
     lp = LinearProgram((1.0,))
-    assert solve(lp, []).status is LpStatus.UNBOUNDED
+    with pytest.raises(SolverError, match="unbounded"):
+        solve(lp, [])
 
 
 def test_two_variable_optimum_matches_vertex_enumeration():
     lp = LinearProgram((1.0, 1.0), [[1.0, 2.0], [3.0, 1.0]], (LESS, LESS), (4.0, 6.0))
     sol = solve(lp, [])
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(2.8, abs=1e-9)
     assert sol.x == pytest.approx((1.6, 1.2), abs=1e-9)
     oracle_value, _ = enumerate_vertices(lp)
@@ -94,7 +92,6 @@ def test_equality_constraints_native():
     )
     sol = solve(lp, [2])  # x2 = 1 satisfies x0 - x1 >= -0.5
     oracle_value, _ = enumerate_vertices(lp)
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(oracle_value, abs=1e-8)
 
 
@@ -126,7 +123,6 @@ def test_degenerate_cycling_instance_terminates():
         (0.0, 0.0, 1.0),
     )
     sol = solve(lp, [])
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(0.05, abs=1e-9)
 
 
@@ -164,7 +160,6 @@ def test_random_lps_match_vertex_enumeration():
     for _ in range(120):
         lp, basis = _random_lp_with_start(rng)
         sol = solve(lp, basis)
-        assert sol.status is LpStatus.OPTIMAL
         oracle_value, _ = enumerate_vertices(lp)
         assert oracle_value is not None
         assert abs(sol.objective_value - oracle_value) <= 1e-6
@@ -185,7 +180,6 @@ def test_reported_violation_matches_recomputation():
     for _ in range(40):
         lp, basis = _random_lp_with_start(rng)
         sol = solve(lp, basis)
-        assert sol.status is LpStatus.OPTIMAL
         recomputed = 0.0
         x = np.array(sol.x)
         for coeffs, relation, rhs in zip(lp.matrix, lp.relations, lp.rhs):
@@ -222,7 +216,6 @@ def test_warm_start_matches_two_phase_and_vertex_enumeration(scale):
     oracle_value, _ = enumerate_vertices(lp)
     for start in (0, 2):  # x0 = 1 or x2 = 1; both satisfy x1 <= 0.6
         warm = solve(lp, basis=[start])
-        assert warm.status is LpStatus.OPTIMAL
         assert warm.objective_value == pytest.approx(oracle_value, abs=1e-12)
         assert warm.x == pytest.approx((0.4, 0.6, 0.0), abs=1e-12)
 

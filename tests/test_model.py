@@ -106,6 +106,9 @@ def test_joint_table_size_guard():
     )
     with pytest.raises(InputError, match="guard"):
         SystemModel(locs, joint=(0.0,) * 2**21)
+    # The guard reads the state count, so a short table is refused cheaply.
+    with pytest.raises(InputError, match="guard"):
+        SystemModel(locs, joint=[0.0])
 
 
 def test_empty_system_rejected():
