@@ -2,10 +2,11 @@
 verify the guarantee suites on random instances, and sweep the bound
 constants to CSV.
 
-Exit codes: 0 success, 1 verify-suite failure, 2 parse/validation error,
-3 precondition error (e.g. payoff-weighted mode without negative
-prior-mean utilities, or decentralized mode on a joint-prior instance
-without --fallback), 4 LP solver failure.
+Exit codes: 0 success, 1 verify-suite failure, 2 any invalid argument or
+instance (parse or validation error), 3 precondition error (e.g.
+payoff-weighted mode without negative prior-mean utilities, or
+decentralized mode on a joint-prior instance without --fallback), 4 LP
+solver failure; under ``verify`` the offending instance is printed too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import bounds, centralized, decentralized, oracle
 from .instances import (
-    ParseError,
     format_instance,
     random_independent_system,
     random_joint_system,
@@ -51,16 +51,9 @@ def _fail(message: str, code: int) -> None:
 
 
 def _load(path: str) -> SystemModel:
-    try:
-        system = read_instance(path)
-        require_valid(system)
-        return system
-    except ParseError as err:
-        _fail(str(err), 2)
-    except PreconditionError as err:
-        _fail(str(err), 3)
-    except InputError as err:
-        _fail(str(err), 2)
+    system = read_instance(path)
+    require_valid(system)
+    return system
 
 
 def _deliver(ctx: click.Context, text: str) -> None:
@@ -97,9 +90,35 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
+def _line(name: str, *values: float) -> str:
+    return f"{name} = " + " ".join(f"{v:.6f}" for v in values)
+
+
+def _ratio(th: float, central_th: float) -> float:
+    """``th / central_th``, reading 0/0 as 1."""
+    if central_th > 0.0:
+        return th / central_th
+    return 1.0 if th <= 0.0 else float("inf")
+
+
 def _respond(system: SystemModel, mech: oracle.Mechanism) -> EvaluationReport:
     """Evaluate ``mech`` under the customer's best response to it."""
     return oracle.evaluate(system, mech, oracle.best_response(system, mech))
+
+
+def _compare(system: SystemModel) -> tuple[
+    CentralizedMechanism, EvaluationReport, DecentralizedMechanism, EvaluationReport
+]:
+    """The optimal centralized mechanism and its decentralized counterpart,
+    each with its report: the product composition on an independent prior,
+    the single-location fallback under best response on a joint one."""
+    central_mech, central = centralized.solve_centralized(system)
+    if system.prior_mode == "independent":
+        dec_mech, _, dec = decentralized.compose_optimal(system)
+    else:
+        dec_mech = decentralized.correlated_fallback(system, central_mech)
+        dec = _respond(system, dec_mech)
+    return central_mech, central, dec_mech, dec
 
 
 def _centralized_lines(system: SystemModel, mech: CentralizedMechanism) -> list[str]:
@@ -128,13 +147,23 @@ def _decentralized_lines(system: SystemModel, mech: DecentralizedMechanism) -> l
 
 
 class _Main(click.Group):
-    """Command group that reports a solver failure as one line and exit code 4."""
+    """Command group that reports the library's typed errors as one
+    ``error:`` line on stderr and an exit code: 3 for a failed
+    precondition, 2 for any other invalid input, 4 for a solver failure
+    (followed by the offending instance when ``verify`` attached one)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except PreconditionError as err:
+            _fail(str(err), 3)
+        except InputError as err:
+            _fail(str(err), 2)
         except SolverError as err:
-            _fail(f"LP solver failed: {err}", 4)
+            message = f"LP solver failed: {err}"
+            if getattr(err, "instance", None) is not None:
+                message += "\noffending instance:\n" + format_instance(err.instance)
+            _fail(message, 4)
 
 
 @click.group(cls=_Main)
@@ -170,74 +199,55 @@ def main(ctx, tolerance, summary, output, seed):
 def solve(ctx, instance, mode, fallback, summary_here):
     """Solve one instance and print throughput/value and the mechanism."""
     system = _load(instance)
-    summary = ctx.obj["summary"] or summary_here
     lines = [f"mode: {mode}"]
-    try:
-        if mode == "centralized":
-            mech, report = centralized.solve_centralized(system)
-            lines.append(f"Th = {report.throughput:.6f}")
-            lines.append(
-                "T_k = " + " ".join(f"{v:.6f}" for v in report.per_location_throughput)
+    report: EvaluationReport | None = None  # its T_k line follows the mode's lines
+    tables: list[str] = []
+    if mode == "centralized":
+        mech, report = centralized.solve_centralized(system)
+        lines.append(_line("Th", report.throughput))
+        tables = _centralized_lines(system, mech)
+    elif mode == "decentralized" and system.prior_mode == "joint":
+        if not fallback:
+            raise PreconditionError(
+                "decentralized mode on a joint-prior instance is only a "
+                "guaranteed-fraction construction; pass --fallback to run it"
             )
-            if not summary:
-                lines += _centralized_lines(system, mech)
-        elif mode == "decentralized":
-            if system.prior_mode == "joint":
-                if not fallback:
-                    raise PreconditionError(
-                        "decentralized mode on a joint-prior instance is only a "
-                        "guaranteed-fraction construction; pass --fallback to run it"
-                    )
-                central, report = centralized.solve_centralized(system)
-                mech = decentralized.correlated_fallback(system, central)
-                fb = _respond(system, mech)
-                lines.append(f"Th_fallback = {fb.throughput:.6f}")
-                lines.append(f"Th_centralized = {report.throughput:.6f}")
-                lines.append(f"guarantee = Th_centralized/K = "
-                             f"{report.throughput / system.num_locations:.6f}")
-                if not summary:
-                    lines += _decentralized_lines(system, mech)
-            else:
-                mech, _, report = decentralized.compose_optimal(system)
-                iso = [
-                    float(loc.prior_array() @ part.table[:, 1])
-                    for loc, part in zip(system.locations, mech.parts)
-                ]
-                lines.append(f"Th_D = {report.throughput:.6f}")
-                lines.append("Th_iso = " + " ".join(f"{v:.6f}" for v in iso))
-                lines.append(
-                    "T_k = "
-                    + " ".join(f"{v:.6f}" for v in report.per_location_throughput)
-                )
-                if not summary:
-                    lines += _decentralized_lines(system, mech)
-        elif mode == "heterogeneous":
-            if system.prior_mode == "joint":
-                raise PreconditionError(
-                    "heterogeneous mode needs an independent-prior instance"
-                )
-            mech, strategy, value = decentralized.heterogeneous_compose(system)
-            report = oracle.evaluate(system, mech, strategy)
-            lines.append(f"Val = {value:.6f}")
-            lines.append(f"Th = {report.throughput:.6f}")
-            lines.append(
-                "T_k = " + " ".join(f"{v:.6f}" for v in report.per_location_throughput)
+        _, central, mech, fb = _compare(system)
+        lines.append(_line("Th_fallback", fb.throughput))
+        lines.append(_line("Th_centralized", central.throughput))
+        lines.append(_line("guarantee = Th_centralized/K",
+                           central.throughput / system.num_locations))
+        tables = _decentralized_lines(system, mech)
+    elif mode == "decentralized":
+        mech, _, report = decentralized.compose_optimal(system)
+        lines.append(_line("Th_D", report.throughput))
+        lines.append(_line("Th_iso", *(
+            float(loc.prior_array() @ part.table[:, 1])
+            for loc, part in zip(system.locations, mech.parts)
+        )))
+        tables = _decentralized_lines(system, mech)
+    elif mode == "heterogeneous":
+        if system.prior_mode == "joint":
+            raise PreconditionError(
+                "heterogeneous mode needs an independent-prior instance"
             )
-            if not summary:
-                lines += _decentralized_lines(system, mech)
-        else:
-            mech = (
-                oracle.full_information(system)
-                if mode == "full-info"
-                else oracle.no_information(system)
-            )
-            report = _respond(system, mech)
-            lines.append(f"Th = {report.throughput:.6f}")
-            lines.append(
-                "T_k = " + " ".join(f"{v:.6f}" for v in report.per_location_throughput)
-            )
-    except PreconditionError as err:
-        _fail(str(err), 3)
+        mech, strategy, value = decentralized.heterogeneous_compose(system)
+        report = oracle.evaluate(system, mech, strategy)
+        lines.append(_line("Val", value))
+        lines.append(_line("Th", report.throughput))
+        tables = _decentralized_lines(system, mech)
+    else:
+        mech = (
+            oracle.full_information(system)
+            if mode == "full-info"
+            else oracle.no_information(system)
+        )
+        report = _respond(system, mech)
+        lines.append(_line("Th", report.throughput))
+    if report is not None:
+        lines.append(_line("T_k", *report.per_location_throughput))
+    if not (ctx.obj["summary"] or summary_here):
+        lines += tables
     _deliver(ctx, "\n".join(lines) + "\n")
 
 
@@ -248,41 +258,26 @@ def compare(ctx, instance):
     """CSV comparison of mechanism families on one instance."""
     system = _load(instance)
     k = system.num_locations
-    central_mech, report = centralized.solve_centralized(system)
-    central_th = report.throughput
-
-    def ratio(th: float) -> float:
-        if central_th > 0.0:
-            return th / central_th
-        return 1.0 if th <= 0.0 else float("inf")
-
-    rows = [("centralized", central_th, ratio(central_th), "")]
+    _, central, _, dec = _compare(system)
+    rows = [("centralized", central.throughput, "")]
     if system.prior_mode == "independent":
-        _, _, dec = decentralized.compose_optimal(system)
-        rows.append(
-            (
-                "decentralized",
-                dec.throughput,
-                ratio(dec.throughput),
-                _fmt(bounds.independence_guarantee(k)),
-            )
-        )
+        rows.append(("decentralized", dec.throughput,
+                     _fmt(bounds.independence_guarantee(k))))
     else:
-        fb_mech = decentralized.correlated_fallback(system, central_mech)
-        fb = _respond(system, fb_mech)
-        rows.append(("fallback", fb.throughput, ratio(fb.throughput), _fmt(1.0 / k)))
+        rows.append(("fallback", dec.throughput, _fmt(1.0 / k)))
     for name, mech in (
         ("full-info", oracle.full_information(system)),
         ("no-info", oracle.no_information(system)),
     ):
-        rep = _respond(system, mech)
-        rows.append((name, rep.throughput, ratio(rep.throughput), ""))
+        rows.append((name, _respond(system, mech).throughput, ""))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "throughput", "ratio_to_centralized", "guarantee"])
-    for name, th, rat, guarantee in rows:
-        writer.writerow([name, _fmt(th), _fmt(rat), guarantee])
+    for name, th, guarantee in rows:
+        writer.writerow(
+            [name, _fmt(th), _fmt(_ratio(th, central.throughput)), guarantee]
+        )
     _deliver(ctx, buffer.getvalue())
 
 
@@ -301,19 +296,28 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
     """Run a property suite on seeded random instances; exit 1 on failure."""
     tol = ctx.obj["tolerance"]
     seed = ctx.obj["seed"] if seed_override is None else seed_override
-    try:
-        k_lo, k_hi = _parse_range(k_range)
-        xs = _parse_floats(x_list)
-    except InputError as err:
-        _fail(str(err), 2)
+    k_lo, k_hi = _parse_range(k_range)
+    xs = _parse_floats(x_list)
+    if suite in ("tightness", "correlated-bound") and k_lo < 2:
+        raise InputError(f"the {suite} suite needs at least two locations (--K 2..)")
 
     lines: list[str] = []
     failures: list[str] = []
     suite_ok = True
-    if suite == "tightness" and k_lo < 2:
-        _fail("the tightness suite needs at least two locations (--K 2..)", 2)
-    if suite == "correlated-bound" and k_lo < 2:
-        _fail("the correlated-bound suite needs at least two locations (--K 2..)", 2)
+
+    def compared(system: SystemModel):
+        """``_compare(system)``, with ``system`` attached to a solver failure."""
+        try:
+            return _compare(system)
+        except SolverError as err:
+            err.instance = system
+            raise
+
+    def check(results: list, slack: float, limit: float, system=None) -> None:
+        """Record one slack against ``-limit`` and the first failing instance."""
+        results.append((slack >= -limit, slack))
+        if slack < -limit and system is not None and not failures:
+            failures.append(format_instance(system))
 
     def record(name: str, results: list[tuple[bool, float]]) -> None:
         nonlocal suite_ok
@@ -333,14 +337,9 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
         for t in range(trials):
             rng = np.random.default_rng([seed, 1, t])
             system = random_independent_system(rng, (k_lo, k_hi), (2, 3))
-            _, central = centralized.solve_centralized(system)
-            _, _, dec = decentralized.compose_optimal(system)
-            slack = dec.throughput - bounds.independence_guarantee(
-                system.num_locations
-            ) * central.throughput
-            results.append((slack >= -tol, slack))
-            if slack < -tol and not failures:
-                failures.append(format_instance(system))
+            _, central, _, dec = compared(system)
+            guarantee = bounds.independence_guarantee(system.num_locations)
+            check(results, dec.throughput - guarantee * central.throughput, tol, system)
         record("decentralized >= guarantee * centralized", results)
     elif suite == "tightness":
         lines.append(
@@ -351,14 +350,13 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
         for k in range(k_lo, k_hi + 1):
             for x in xs:
                 inst = bounds.make_tightness_instance(k, x)
-                _, central = centralized.solve_centralized(inst.system)
-                gap = -abs(central.throughput - inst.predicted_throughput)
-                central_results.append((gap >= -tol, gap))
-                _, _, dec = decentralized.compose_optimal(inst.system)
-                closed = -abs(dec.throughput - inst.predicted_decentralized)
-                closed_results.append((closed >= -1e-6, closed))
-                if (gap < -tol or closed < -1e-6) and not failures:
-                    failures.append(format_instance(inst.system))
+                _, central, _, dec = compared(inst.system)
+                check(central_results,
+                      -abs(central.throughput - inst.predicted_throughput),
+                      tol, inst.system)
+                check(closed_results,
+                      -abs(dec.throughput - inst.predicted_decentralized),
+                      1e-6, inst.system)
         record("centralized throughput = 1", central_results)
         record("closed-form decentralized match (1e-06)", closed_results)
     elif suite == "correlated-bound":
@@ -371,13 +369,8 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
             rng = np.random.default_rng([seed, 2, t])
             k = int(rng.integers(k_lo, k_hi + 1))
             system = random_joint_system(rng, k, 2)
-            central_mech, central = centralized.solve_centralized(system)
-            fb_mech = decentralized.correlated_fallback(system, central_mech)
-            fb = _respond(system, fb_mech)
-            slack = fb.throughput - central.throughput / k
-            results.append((slack >= -tol, slack))
-            if slack < -tol and not failures:
-                failures.append(format_instance(system))
+            _, central, _, fb = compared(system)
+            check(results, fb.throughput - central.throughput / k, tol, system)
         record("fallback >= centralized / K", results)
     else:  # lemmas
         lines.append(f"suite lemmas seed={seed} trials={trials}")
@@ -395,8 +388,7 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
             closed = 1.0
             for loc, p in zip(system.locations, probs):
                 closed *= 1.0 - float(np.dot(loc.prior_array(), p))
-            gap = -abs(report.throughput - (1.0 - closed))
-            product_results.append((gap >= -1e-9, gap))
+            check(product_results, -abs(report.throughput - (1.0 - closed)), 1e-9)
         record("product throughput formula (1e-09)", product_results)
 
         gap_results = []
@@ -405,16 +397,14 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
             k = int(rng.integers(2, 7))
             raw = rng.uniform(0.0, 1.0, k)
             shares = raw / raw.sum() * rng.uniform(0.0, 1.0)
-            gap = bounds.union_guarantee_gap(tuple(shares))
-            gap_results.append((gap >= -1e-12, gap))
+            check(gap_results, bounds.union_guarantee_gap(tuple(shares)), 1e-12)
         record("union guarantee gap >= -1e-12", gap_results)
 
         envelope_results = []
         for k in range(2, 33):
             share = bounds.solve_balanced_share(k)
             value = float(bounds.join_envelope(np.full(k, share)))
-            gap = -abs(value - k * share)
-            envelope_results.append((gap >= -1e-9, gap))
+            check(envelope_results, -abs(value - k * share), 1e-9)
         record("symmetric envelope (1e-09)", envelope_results)
 
     if failures:
@@ -448,15 +438,12 @@ def _random_join_on_one(rng, system, mech) -> CustomerStrategy:
 @click.pass_context
 def sweep(ctx, generator, k_range, x_list):
     """CSV sweep of computed throughputs against the bound constants."""
-    try:
-        k_lo, k_hi = _parse_range(k_range)
-        xs = _parse_floats(x_list)
-    except InputError as err:
-        _fail(str(err), 2)
+    k_lo, k_hi = _parse_range(k_range)
+    xs = _parse_floats(x_list)
     if k_lo < 2:
-        _fail("sweeps need at least two locations (--K 2..)", 2)
+        raise InputError("sweeps need at least two locations (--K 2..)")
     if generator == "tightness" and any(x <= 1.0 for x in xs):
-        _fail("tightness sweeps need utility scales above 1 (--X)", 2)
+        raise InputError("tightness sweeps need utility scales above 1 (--X)")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -468,29 +455,21 @@ def sweep(ctx, generator, k_range, x_list):
         consts = [
             _fmt(bounds.independence_guarantee(k)),
             _fmt(1.0 / k),
-            _fmt(bounds.correlated_upper_bound(k)) if k >= 2 else "",
+            _fmt(bounds.correlated_upper_bound(k)),
         ]
         if generator == "tightness":
-            for x in xs:
-                inst = bounds.make_tightness_instance(k, x)
-                _, central = centralized.solve_centralized(inst.system)
-                _, _, dec = decentralized.compose_optimal(inst.system)
-                th, th_d = central.throughput, dec.throughput
-                rat = th_d / th if th > 0 else 1.0
-                writer.writerow([k, _fmt(x), _fmt(th), _fmt(th_d), _fmt(rat)] + consts)
+            cases = ((x, bounds.make_tightness_instance(k, x).system) for x in xs)
         else:
             usable = [x for x in xs if x > k]
-            if k <= LP_SIZE_CAP and usable:
-                x = usable[0]
-                system = bounds.make_correlated_instance(k, x)
-                central_mech, central = centralized.solve_centralized(system)
-                fb_mech = decentralized.correlated_fallback(system, central_mech)
-                fb = _respond(system, fb_mech)
-                th, th_d = central.throughput, fb.throughput
-                rat = th_d / th if th > 0 else 1.0
-                writer.writerow([k, _fmt(x), _fmt(th), _fmt(th_d), _fmt(rat)] + consts)
-            else:
+            if k > LP_SIZE_CAP or not usable:
                 writer.writerow([k, "", "", "", ""] + consts)
+                continue
+            cases = [(usable[0], bounds.make_correlated_instance(k, usable[0]))]
+        for x, system in cases:
+            _, central, _, dec = _compare(system)
+            th, th_d = central.throughput, dec.throughput
+            writer.writerow([k] + [_fmt(v) for v in (x, th, th_d, _ratio(th_d, th))]
+                            + consts)
     _deliver(ctx, buffer.getvalue())
 
 

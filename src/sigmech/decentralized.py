@@ -37,7 +37,6 @@ NEITHER = "neither"
 class IsolatedSolution:
     """Optimal single-location persuasion: binary mechanism and its throughput."""
 
-    location: int
     mechanism: LocationSignaling
     th_iso: float
 
@@ -60,7 +59,7 @@ class ObedienceVerdict:
         return self.kind != NEITHER
 
 
-def solve_isolated(location: LocationModel, index: int = 0) -> IsolatedSolution:
+def solve_isolated(location: LocationModel) -> IsolatedSolution:
     """Maximize the join probability of one location in isolation.
 
     This is the obedience LP with K = 1, the single-location persuasion
@@ -74,7 +73,7 @@ def solve_isolated(location: LocationModel, index: int = 0) -> IsolatedSolution:
     lp = obedience_lp(prior, util, np.ones(1))
     solution = solve(lp, uninformative_start(prior, util))
     part = LocationSignaling((0, 1), np.reshape(solution.x, (location.num_states, 2)))
-    return IsolatedSolution(index, part, solution.objective_value)
+    return IsolatedSolution(part, solution.objective_value)
 
 
 def _signal_one_posteriors(system: SystemModel, mech: DecentralizedMechanism) -> np.ndarray:
@@ -129,7 +128,7 @@ def compose_optimal(
             "compose_optimal needs independent priors; use correlated_fallback "
             "for systems with a joint prior"
         )
-    solutions = [solve_isolated(loc, k) for k, loc in enumerate(system.locations)]
+    solutions = [solve_isolated(loc) for loc in system.locations]
     mech = DecentralizedMechanism(tuple(sol.mechanism for sol in solutions))
     strategy = _join_on_one_strategy(system, mech)
     report = oracle.evaluate(system, mech, strategy)
@@ -192,7 +191,7 @@ def heterogeneous_compose(
         retained.append(k)
 
     order = sorted(retained, key=lambda k: (-system.locations[k].payoff, k))
-    solutions = {k: solve_isolated(system.locations[k], k) for k in order}
+    solutions = {k: solve_isolated(system.locations[k]) for k in order}
 
     parts: list[LocationSignaling] = []
     for k, loc in enumerate(system.locations):

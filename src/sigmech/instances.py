@@ -160,21 +160,20 @@ def write_instance(system: SystemModel, path) -> None:
 # --- Random instance generation -------------------------------------------
 #
 # Priors are uniform draws normalized to sum 1 (a flat Dirichlet stand-in),
-# utilities are uniform in [-2, 2].  When ``force_persuadable`` is set, a
-# location whose utilities are all negative gets one state's utility
-# redrawn from [0, 2] so persuasion-relevant properties are exercised.
+# utilities are uniform in [-2, 2].  A location whose utilities are all
+# negative gets one state's utility redrawn from [0, 2] so
+# persuasion-relevant properties are exercised.
 
 
 def _random_utilities(
     rng: np.random.Generator,
     num_states: int,
-    force_persuadable: bool,
     require_negative_mean: bool,
     prior: np.ndarray,
 ) -> tuple[float, ...]:
     for _ in range(1000):
         utility = rng.uniform(-2.0, 2.0, num_states)
-        if force_persuadable and utility.max() < 0.0:
+        if utility.max() < 0.0:
             utility[int(rng.integers(num_states))] = rng.uniform(0.0, 2.0)
         if require_negative_mean and float(prior @ utility) >= 0.0:
             continue
@@ -187,7 +186,6 @@ def random_independent_system(
     num_locations: int | tuple[int, int] = (1, 5),
     states: int | tuple[int, int] = (2, 3),
     *,
-    force_persuadable: bool = True,
     require_negative_mean: bool = False,
     payoff_range: tuple[float, float] | None = None,
 ) -> SystemModel:
@@ -207,9 +205,7 @@ def random_independent_system(
             n = int(rng.integers(n[0], n[1] + 1))
         raw = rng.uniform(0.0, 1.0, n)
         prior = raw / raw.sum()
-        utility = _random_utilities(
-            rng, n, force_persuadable, require_negative_mean, prior
-        )
+        utility = _random_utilities(rng, n, require_negative_mean, prior)
         payoff = 1.0 if payoff_range is None else float(rng.uniform(*payoff_range))
         locations.append(
             LocationModel(
@@ -229,8 +225,6 @@ def random_joint_system(
     rng: np.random.Generator,
     num_locations: int,
     states: int = 2,
-    *,
-    force_persuadable: bool = True,
 ) -> SystemModel:
     """Seeded random instance with an explicit (generally correlated) joint prior."""
     sizes = (states,) * num_locations
@@ -242,7 +236,7 @@ def random_joint_system(
     for k in range(num_locations):
         marginal = np.zeros(states)
         np.add.at(marginal, index_matrix[:, k], table)
-        utility = _random_utilities(rng, states, force_persuadable, False, marginal)
+        utility = _random_utilities(rng, states, False, marginal)
         locations.append(
             LocationModel(
                 name=f"loc{k + 1}",

@@ -318,10 +318,6 @@ class LocationSignaling:
         object.__setattr__(self, "table", _readonly(self.table))
 
     @property
-    def num_signals(self) -> int:
-        return len(self.signals)
-
-    @property
     def is_binary(self) -> bool:
         return self.signals == (0, 1)
 
@@ -342,10 +338,6 @@ class DecentralizedMechanism:
     @property
     def is_binary(self) -> bool:
         return all(part.is_binary for part in self.parts)
-
-    @property
-    def signal_sizes(self) -> tuple[int, ...]:
-        return tuple(part.num_signals for part in self.parts)
 
     def joint_signals(self) -> list[tuple]:
         """Joint signal labels in mixed-radix order (location 1 fastest)."""

@@ -4,12 +4,18 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from sigmech.bounds import make_correlated_instance, make_tightness_instance
 from sigmech.cli import LP_SIZE_CAP, main
-from sigmech.instances import format_instance, parse_instance, write_instance
+from sigmech.instances import (
+    format_instance,
+    parse_instance,
+    random_independent_system,
+    write_instance,
+)
 from sigmech.model import LocationModel, SystemModel
 
 
@@ -206,10 +212,19 @@ def test_verify_bad_range_exits_2(runner):
 
 
 def test_range_guards_exit_2(runner):
-    assert runner.invoke(main, ["sweep", "tightness", "--K", "1..3", "--X", "10"]).exit_code == 2
-    assert runner.invoke(main, ["sweep", "tightness", "--K", "2..3", "--X", "0.5"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "tightness", "--K", "1..3"]).exit_code == 2
-    assert runner.invoke(main, ["verify", "correlated-bound", "--K", "1..2"]).exit_code == 2
+    for args in (
+        ["sweep", "tightness", "--K", "1..3", "--X", "10"],
+        ["sweep", "tightness", "--K", "2..3", "--X", "0.5"],
+        ["sweep", "tightness", "--X", "abc"],
+        ["verify", "tightness", "--K", "1..3"],
+        ["verify", "correlated-bound", "--K", "1..2"],
+        ["verify", "tightness", "--X", "0.5"],
+        ["verify", "tightness", "--X", "a,b"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), args
 
 
 def test_sweep_tightness_ratio_approaches_guarantee(runner):
@@ -318,3 +333,23 @@ def test_verify_independent_bound_k6_passes(runner):
     assert result.exit_code == 0
     assert "5/5 pass" in result.output
     assert result.output.endswith("RESULT PASS\n")
+
+
+def test_verify_solver_error_exits_4_with_replayable_instance(runner, monkeypatch):
+    from sigmech import centralized
+    from sigmech.model import SolverError
+
+    def failing_solve(*args, **kwargs):
+        raise SolverError("simplex exceeded the iteration cap of 7 pivots")
+
+    monkeypatch.setattr(centralized, "solve", failing_solve)
+    result = runner.invoke(
+        main, ["verify", "independent-bound", "--K", "2..2", "--trials", "1"]
+    )
+    assert result.exit_code == 4
+    assert isinstance(result.exception, SystemExit)
+    head, offending, blob = result.stderr.partition("\noffending instance:\n")
+    assert head == "error: LP solver failed: simplex exceeded the iteration cap of 7 pivots"
+    assert offending
+    rng = np.random.default_rng([0, 1, 0])
+    assert parse_instance(blob) == random_independent_system(rng, (2, 2), (2, 3))
