@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .lp import EQUAL, GREATER, LESS, LinearProgram, solve
+from .lp import GREATER, LESS, LinearProgram, solve
 from .model import (
     CentralizedMechanism,
     CustomerStrategy,
@@ -25,12 +25,13 @@ def obedience_lp(mu: np.ndarray, util: np.ndarray, weights: np.ndarray) -> Linea
     """Obedience LP for prior ``mu`` (S,), utilities ``util`` (S, K), weights (K,).
 
     One variable per (state w, recommendation a), at index
-    w * (K + 1) + a; a = 0 is leave.  The constraint order is the
-    K*(K-1) deviation rows (recommended k beats each other location l,
-    k-major), the K join-beats-leaving rows, the K leave rows, then one
-    row-sum equality per state.  The objective weighs location k's
-    recommendation mass by ``weights[k]``.  With K = 1 this is the
-    single-location persuasion problem.
+    w * (K + 1) + a; a = 0 is leave.  The matrix rows are the K*(K-1)
+    deviation rows (recommended k beats each other location l, k-major),
+    the K join-beats-leaving rows, then the K leave rows.  Each state's
+    recommendations sum to 1: state w is column group w, not a matrix
+    row.  The objective weighs location k's recommendation mass by
+    ``weights[k]``.  With K = 1 this is the single-location persuasion
+    problem.
     """
     num_states, num_locs = util.shape
     num_actions = num_locs + 1
@@ -42,26 +43,25 @@ def obedience_lp(mu: np.ndarray, util: np.ndarray, weights: np.ndarray) -> Linea
 
     # Each row block is viewed as (rows, state, action) to fill by index.
     num_dev = num_locs * (num_locs - 1)
-    matrix = np.zeros((num_dev + 2 * num_locs + num_states, num_states * num_actions))
+    matrix = np.zeros((num_dev + 2 * num_locs, num_states * num_actions))
     deviation = matrix[:num_dev].reshape(num_locs, num_locs - 1, num_states, num_actions)
     for k in range(num_locs):
         others = util[:, locs != k]
         deviation[k, :, :, k + 1] = (mu[:, None] * (util[:, k : k + 1] - others)).T
     join = matrix[num_dev : num_dev + num_locs].reshape(num_locs, num_states, num_actions)
     join[locs, :, locs + 1] = mass
-    leave = matrix[num_dev + num_locs : num_dev + 2 * num_locs]
+    leave = matrix[num_dev + num_locs :]
     leave.reshape(num_locs, num_states, num_actions)[:, :, 0] = mass
-    rowsum = matrix[num_dev + 2 * num_locs :].reshape(num_states, num_states, num_actions)
-    rowsum[np.arange(num_states), np.arange(num_states), :] = 1.0
 
-    relations = [GREATER] * (num_dev + num_locs) + [LESS] * num_locs + [EQUAL] * num_states
-    rhs = np.zeros(matrix.shape[0])
-    rhs[num_dev + 2 * num_locs :] = 1.0
-    return LinearProgram(objective.reshape(-1), matrix, relations, rhs)
+    relations = [GREATER] * (num_dev + num_locs) + [LESS] * num_locs
+    groups = np.repeat(np.arange(num_states), num_actions)
+    return LinearProgram(
+        objective.reshape(-1), matrix, relations, np.zeros(matrix.shape[0]), groups
+    )
 
 
 def uninformative_start(mu: np.ndarray, util: np.ndarray) -> np.ndarray:
-    """Start basis of :func:`obedience_lp`: x(w, a*), one recommendation in every state.
+    """Start basis of :func:`obedience_lp`: x(w, a*), one member of every state's group.
 
     a* is the location with the largest prior-mean utility ``mu @ util``
     if that mean is positive, else 0 (leave).  Following a* is then a
@@ -78,8 +78,10 @@ def uninformative_start(mu: np.ndarray, util: np.ndarray) -> np.ndarray:
 def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearProgram:
     """The system's obedience LP (see :func:`obedience_lp`), states in mixed-radix order.
 
-    With ``weighted`` the objective weighs location k's recommendation
-    mass by its payoff instead of 1.
+    Its matrix holds the K*(K-1) deviation, K join and K leave rows, in
+    that order; the state row sums are its S column groups, in state
+    order.  With ``weighted`` the objective weighs location k's
+    recommendation mass by its payoff instead of 1.
     """
     require_valid(system)
     weights = np.asarray(system.payoffs if weighted else np.ones(system.num_locations))

@@ -39,9 +39,10 @@ from .model import (
 )
 
 # Largest K for which sweep runs the centralized LP on the correlated
-# generator.  On a 2-vCPU VM `sweep correlated --K 2..7` runs in about 1 s
-# with a 711 MiB peak (K=7: 2187 states, 17496 variables); K=8 would need
-# about 6.3 GB for its dense matrix and tableau.
+# generator.  On a 2-vCPU VM `sweep correlated --K 2..7` runs in about
+# 0.4 s with a 350 MiB peak (K=7: 2187 states, 17496 variables).  K=8
+# (6561 states, 59049 variables, 72 matrix rows) would need only the
+# dense tableau, 6634 x 59122 floats or about 3.1 GB.
 LP_SIZE_CAP = 7
 
 
@@ -81,9 +82,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise InputError(f"bad number list {text!r}") from None
+    if not values:
+        raise InputError(f"empty number list {text!r}")
+    return values
 
 
 def _fmt(value: float) -> str:
@@ -300,6 +304,8 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
     xs = _parse_floats(x_list)
     if suite in ("tightness", "correlated-bound") and k_lo < 2:
         raise InputError(f"the {suite} suite needs at least two locations (--K 2..)")
+    if trials < 1:
+        raise InputError(f"--trials must be at least 1, got {trials}")
 
     lines: list[str] = []
     failures: list[str] = []

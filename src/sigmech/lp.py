@@ -2,21 +2,32 @@
 
 Sized for the obedience LPs this package builds: hundreds to a few
 thousand dense variables, every one of them nonnegative.  An LP is held
-as numpy arrays (objective, constraint matrix, relations, rhs).
-Equality constraints are handled natively, pricing is Dantzig's rule
-with a permanent switch to Bland's rule after a degenerate stall (which
-guarantees termination), and the iteration cap is
-50 * (variables + constraints).  A pivot updates only the tableau rows
-with a nonzero entry in the pivot column.
+as numpy arrays: an objective, a matrix of ``<=`` and ``>=`` rows with
+their rhs, and optional column groups.  ``groups[j]`` names the group of
+column j, and every group's columns sum to 1.  These are generalized
+upper bounds (Dantzig and Van Slyke, JCSS 1967): the obedience LPs' one
+row sum per state is held as a group, not as a matrix row.
+
+Pricing is Dantzig's rule with a permanent switch to Bland's rule after
+a degenerate stall (which guarantees termination), and the iteration
+cap is 50 * (variables + rows + groups).  A pivot updates only the
+tableau rows with a nonzero entry in the pivot column.  If the
+normalized pivot row is sparse (nonzeros below SPARSE_ROW of the
+tableau width) it updates only the columns where that row is nonzero;
+otherwise it updates the touched rows across their full width.  Both
+apply the same operation to every element that changes, so the tableau
+and the pivot path do not depend on which one runs.
 
 One way in: ``solve(lp, basis)`` starts from a basis the caller knows
-to be feasible.  ``basis`` names one column per equality row (in row
-order); every inequality row starts on its own slack.  The solver
-eliminates the named columns into the tableau, checks that the
-resulting basic solution is feasible (rhs >= -FEAS_TOL, else
-SolverError) and runs the simplex from there.  For an LP with no
-equality rows the basis is empty, which needs every rhs of a ``<=`` row
-to be nonnegative (and of a ``>=`` row nonpositive).
+to be feasible.  ``basis`` names one member column per group, in group
+order; every matrix row starts on its own slack.  The solver writes each
+group as a tableau row of ones with rhs 1, removes the named columns
+from the matrix rows (with one member per group basic, that is a
+gather: row r loses its entry at the named column of each column's
+group), checks that the resulting basic solution is feasible
+(rhs >= -FEAS_TOL, else SolverError) and runs the simplex from there.
+For an LP without groups the basis is empty, which needs every rhs of
+a ``<=`` row to be nonnegative (and of a ``>=`` row nonpositive).
 
 One way out: a returned solution is optimal, and every failure,
 an unbounded LP included, raises SolverError.
@@ -38,15 +49,20 @@ FEAS_TOL = 1e-8    # feasibility tolerance (start basis, violation checks)
 # stops short of the optimum on large instances.
 OPT_TOL = 1e-11
 PIVOT_TOL = 1e-9   # smallest pivot element accepted in the ratio test
+# A pivot row with fewer nonzeros than this share of the tableau width
+# updates only its nonzero columns, by an indexed gather and scatter;
+# a denser row updates whole rows, which costs less per element.  The
+# obedience LPs' pivot rows mostly sit far from it: a median of about 60%
+# nonzero on the verify suites' small LPs, under 1% on the sweep's large ones.
+SPARSE_ROW = 0.25
 
 LESS = "<="
 GREATER = ">="
-EQUAL = "="
-_RELATIONS = (LESS, GREATER, EQUAL)
+_RELATIONS = (LESS, GREATER)
 
 
 class ConstraintRow(NamedTuple):
-    """One constraint of a LinearProgram; ``coeffs`` is a view into its matrix."""
+    """One matrix row of a LinearProgram; ``coeffs`` is a view into its matrix."""
 
     coeffs: np.ndarray
     relation: str
@@ -55,18 +71,21 @@ class ConstraintRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective . x subject to matrix @ x (relations) rhs and x >= 0.
+    """maximize objective . x subject to matrix @ x (relations) rhs, group sums 1, x >= 0.
 
     ``objective`` has shape (n,), ``matrix`` (m, n), ``relations`` holds
-    m of LESS / GREATER / EQUAL and ``rhs`` has shape (m,).  Inputs are
-    converted to float arrays without copying where possible.
+    m of LESS / GREATER and ``rhs`` has shape (m,).  ``groups``, if
+    given, has shape (n,) and holds each column's group id, from 0: the
+    columns of every group sum to 1.  Inputs are converted to arrays
+    without copying where possible.
     """
 
     objective: np.ndarray
     matrix: np.ndarray | None = None
     relations: Sequence[str] = ()
     rhs: np.ndarray | Sequence[float] = ()
-    # The relations as +1 (<=), -1 (>=) or 0 (=), derived from ``relations``.
+    groups: np.ndarray | Sequence[int] | None = None
+    # The relations as +1 (<=) or -1 (>=), derived from ``relations``.
     senses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -79,6 +98,16 @@ class LinearProgram:
         unknown = set(relations.tolist()) - set(_RELATIONS)
         if unknown:
             raise InputError(f"unknown relation {sorted(unknown)[0]!r}")
+        if self.groups is not None:
+            groups = np.asarray(self.groups)
+            if groups.shape != (n,) or not np.issubdtype(groups.dtype, np.integer):
+                raise InputError(
+                    f"groups must be {n} integer group ids, one per column, "
+                    f"got shape {groups.shape} of {groups.dtype}"
+                )
+            if n and groups.min() < 0:
+                raise InputError(f"group ids must be nonnegative, got {groups.min()}")
+            object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "relations", relations)
@@ -92,11 +121,19 @@ class LinearProgram:
 
     @property
     def n_constraints(self) -> int:
+        """Number of matrix rows; the group sums are not counted."""
         return self.matrix.shape[0]
 
     @property
+    def num_groups(self) -> int:
+        """Number of column groups: one more than the largest group id."""
+        if self.groups is None or self.groups.size == 0:
+            return 0
+        return int(self.groups.max()) + 1
+
+    @property
     def constraints(self) -> tuple[ConstraintRow, ...]:
-        """The constraint rows one by one, as views into the matrix."""
+        """The matrix rows one by one, as views into the matrix."""
         return tuple(
             ConstraintRow(self.matrix[i], str(self.relations[i]), float(self.rhs[i]))
             for i in range(self.n_constraints)
@@ -129,11 +166,14 @@ def _check_shapes(lp: LinearProgram) -> None:
 
 
 def violation_at(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest constraint breach, or negative entry, at the point x."""
+    """Largest constraint breach, group-sum gap |sum - 1| or negative entry at x."""
     x = np.asarray(x, dtype=float)
-    gap = lp.matrix @ x - lp.rhs
-    breach = np.where(lp.senses, lp.senses * gap, np.abs(gap))
-    return max(0.0, float(breach.max(initial=0.0)), float((-x).max()))
+    breach = lp.senses * (lp.matrix @ x - lp.rhs)
+    worst = max(0.0, float(breach.max(initial=0.0)), float((-x).max()))
+    if lp.num_groups:
+        sums = np.bincount(lp.groups, weights=x, minlength=lp.num_groups)
+        worst = max(worst, float(np.abs(sums - 1.0).max()))
+    return worst
 
 
 class _Tableau:
@@ -144,7 +184,8 @@ class _Tableau:
     """
 
     def __init__(self, body: np.ndarray, basis: np.ndarray, cap: int):
-        self.T = body
+        self.T = np.ascontiguousarray(body)
+        self._flat = self.T.reshape(-1)  # a view, for the sparse pivot's gather
         self.basis = basis
         self.cap = cap
         self.iterations = 0
@@ -173,10 +214,12 @@ class _Tableau:
         self.T[-1, -1] = -float(cb @ self.T[:m, -1])
 
     def _pivot(self, row: int, col: int) -> None:
-        """Gauss-Jordan pivot touching only rows with a nonzero pivot-column entry.
+        """Gauss-Jordan pivot touching only the entries it changes.
 
-        Rows with a zero entry would be updated with a factor of exactly
-        0, so skipping them gives the same tableau as the dense update.
+        Rows with a zero pivot-column entry, and columns with a zero
+        pivot-row entry, would be updated by exactly 0, so skipping them
+        gives the same tableau as the dense update.  Columns are skipped
+        only for a sparse pivot row (see SPARSE_ROW).
         """
         T = self.T
         pivot_row = T[row]
@@ -185,7 +228,12 @@ class _Tableau:
         rows = column.nonzero()[0]
         rows = rows[rows != row]
         if rows.size:
-            T[rows] -= column[rows, None] * pivot_row
+            cols = pivot_row.nonzero()[0]
+            if cols.size < SPARSE_ROW * pivot_row.size:
+                block = (rows * pivot_row.size)[:, None] + cols
+                self._flat[block] -= column[rows, None] * pivot_row[cols]
+            else:
+                T[rows] -= column[rows, None] * pivot_row
         column[:] = 0.0
         pivot_row[col] = 1.0
         self.basis[row] = col
@@ -232,46 +280,29 @@ class _Tableau:
                     self.bland = True
 
 
-def _warm_tableau(lp: LinearProgram, structural: np.ndarray, cap: int) -> _Tableau:
-    """Tableau in the basis of ``structural`` (equality rows) plus every slack.
+def _warm_tableau(lp: LinearProgram, start: np.ndarray, cap: int) -> _Tableau:
+    """Tableau in the basis of every matrix row's slack plus ``start`` (one per group).
 
-    Block elimination: with B the equality rows' block in the structural
-    columns, the equality rows become B^-1 times themselves (B is the
-    identity for the obedience LPs, so nothing is solved), and every
-    inequality row that touches a structural column loses that part.
+    The matrix rows come first, then one row of ones per group.  Row r of
+    the matrix loses A[r, start[groups[j]]] at every column j and, since
+    each group sums to 1, the sum of its start-column entries at the rhs.
     """
     m, n = lp.matrix.shape
-    equal_rows = np.flatnonzero(lp.senses == 0)
-    slack_rows = np.flatnonzero(lp.senses)
-    body = np.zeros((m + 1, n + slack_rows.size + 1))
-    T = body[:m]
-    T[:, :n] = lp.matrix
-    T[:, -1] = lp.rhs
+    body = np.zeros((m + start.size + 1, n + m + 1))
+    T = body[:-1]
+    rows = T[:m]
+    rows[:, :n] = lp.matrix
+    rows[:, -1] = lp.rhs
     # Every inequality becomes a <= row with a +1 slack.
-    T[lp.senses < 0] *= -1.0
-    slack_cols = n + np.arange(slack_rows.size)
-    T[slack_rows, slack_cols] = 1.0
-
-    block = T[equal_rows[:, None], structural]
-    identity = np.eye(equal_rows.size)
-    if not np.array_equal(block, identity):
-        try:
-            T[equal_rows] = np.linalg.solve(block, T[equal_rows])
-        except np.linalg.LinAlgError:
-            raise SolverError("start basis is singular on the equality rows") from None
-    coupling = T[slack_rows[:, None], structural]
-    touches = coupling.any(axis=1)
-    if touches.any():
-        first = equal_rows[0]
-        # A contiguous run of equality rows (the obedience LPs' row sums)
-        # is read in place rather than copied.
-        if equal_rows[-1] - first + 1 == equal_rows.size:
-            equalities = T[first : first + equal_rows.size]
-        else:
-            equalities = T[equal_rows]
-        T[slack_rows[touches]] -= coupling[touches] @ equalities
-    T[slack_rows[:, None], structural] = 0.0
-    T[equal_rows[:, None], structural] = identity
+    rows[lp.senses < 0] *= -1.0
+    slack_cols = n + np.arange(m)
+    rows[np.arange(m), slack_cols] = 1.0
+    if start.size:
+        coupling = rows[:, start]
+        rows[:, :n] -= coupling[:, lp.groups]
+        rows[:, -1] -= coupling.sum(axis=1)
+        T[m + lp.groups, np.arange(n)] = 1.0
+        T[m:, -1] = 1.0
 
     values = T[:, -1]
     if values.size and values.min() < -FEAS_TOL:
@@ -280,10 +311,7 @@ def _warm_tableau(lp: LinearProgram, structural: np.ndarray, cap: int) -> _Table
             f"below -{FEAS_TOL}"
         )
     np.maximum(values, 0.0, out=values)
-    basis = np.zeros(m, dtype=int)
-    basis[slack_rows] = slack_cols
-    basis[equal_rows] = structural
-    return _Tableau(body, basis, cap)
+    return _Tableau(body, np.concatenate([slack_cols, start]), cap)
 
 
 def solve(
@@ -294,28 +322,31 @@ def solve(
 ) -> LpSolution:
     """Solve the LP from a feasible start and return an optimal solution.
 
-    ``basis`` names one variable per equality row, in row order, whose
-    columns together with every inequality row's slack form a feasible
+    ``basis`` names one member column per group, in group order, whose
+    columns together with every matrix row's slack form a feasible
     starting basis (see the module docstring).
 
-    Raises InputError on shape mismatches, SolverError if the LP is
-    unbounded, the pivot limit is exceeded or the given basis is
-    singular or infeasible.
+    Raises InputError on shape mismatches or a basis column outside its
+    group, SolverError if the LP is unbounded, the pivot limit is
+    exceeded or the given basis is infeasible.
     """
     _check_shapes(lp)
+    num_groups = lp.num_groups
     cap = _iteration_cap
     if cap is None:
-        cap = 50 * (lp.n_vars + lp.n_constraints)
+        cap = 50 * (lp.n_vars + lp.n_constraints + num_groups)
 
-    structural = np.asarray(basis, dtype=int).reshape(-1)
-    num_equal = int(np.count_nonzero(lp.senses == 0))
-    if structural.size != num_equal:
-        raise InputError(
-            f"basis names {structural.size} columns for {num_equal} equality rows"
-        )
-    if structural.size and (structural.min() < 0 or structural.max() >= lp.n_vars):
-        raise InputError(f"basis columns must lie in [0, {lp.n_vars})")
-    tableau = _warm_tableau(lp, structural, cap)
+    start = np.asarray(basis, dtype=int).reshape(-1)
+    if start.size != num_groups:
+        raise InputError(f"basis names {start.size} columns for {num_groups} groups")
+    if num_groups:
+        if start.min() < 0 or start.max() >= lp.n_vars:
+            raise InputError(f"basis columns must lie in [0, {lp.n_vars})")
+        outside = np.flatnonzero(lp.groups[start] != np.arange(num_groups))
+        if outside.size:
+            g = int(outside[0])
+            raise InputError(f"basis column {start[g]} is not a member of group {g}")
+    tableau = _warm_tableau(lp, start, cap)
 
     costs = np.zeros(tableau.num_cols)
     costs[: lp.n_vars] = lp.objective

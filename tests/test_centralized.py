@@ -20,7 +20,7 @@ from sigmech.centralized import (
 )
 from sigmech.decentralized import compose_optimal
 from sigmech.instances import random_independent_system, random_joint_system
-from sigmech.lp import EQUAL, GREATER, LESS, violation_at
+from sigmech.lp import GREATER, LESS, violation_at
 from sigmech.model import LocationModel, SystemModel
 from sigmech.oracle import best_response, evaluate, full_information, no_information
 
@@ -32,7 +32,8 @@ def single_location(p=0.2):
 
 
 def _constraint_counts(lp):
-    kinds = {LESS: 0, GREATER: 0, EQUAL: 0}
+    """Matrix rows by relation, and the number of group (row-sum) constraints."""
+    kinds = {LESS: 0, GREATER: 0, "groups": lp.num_groups}
     for relation in lp.relations:
         kinds[relation] += 1
     return kinds
@@ -44,7 +45,7 @@ def test_lp_dimensions_single_location():
     kinds = _constraint_counts(lp)
     assert kinds[GREATER] == 1  # the join row; K = 1 has no deviation rows
     assert kinds[LESS] == 1
-    assert kinds[EQUAL] == 2
+    assert kinds["groups"] == 2  # one row sum per state
 
 
 def test_lp_dimensions_two_binary_locations():
@@ -53,7 +54,7 @@ def test_lp_dimensions_two_binary_locations():
     kinds = _constraint_counts(lp)
     assert kinds[GREATER] == 2 + 2  # K*(K-1) deviation rows + K join rows
     assert kinds[LESS] == 2
-    assert kinds[EQUAL] == 4
+    assert kinds["groups"] == 4
 
 
 def test_no_constraint_row_is_all_zero():
@@ -61,7 +62,9 @@ def test_no_constraint_row_is_all_zero():
         system = _random_system(seed, kind)
         lp = build_centralized_lp(system, kind == "weighted")
         k = system.num_locations
-        assert lp.n_constraints == k * (k - 1) + 2 * k + system.state_count
+        assert lp.n_constraints == k * (k - 1) + 2 * k
+        assert lp.num_groups == system.state_count
+        assert np.bincount(lp.groups).min() > 0  # no empty row sum
         assert np.abs(lp.matrix).sum(axis=1).min() > 0.0
 
 
@@ -217,13 +220,13 @@ def test_warm_start_matches_two_phase_solve(seed, kind, weighted):
     start = np.zeros(lp.n_vars)
     start[uninformative_basis(system)] = 1.0
     assert violation_at(lp, start) <= 1e-12
-    ineq = lp.senses != 0  # written as <= rows for linprog
+    groups = np.arange(lp.num_groups)[:, None] == lp.groups  # one row sum per group
     reference = linprog(
         -lp.objective,
-        A_ub=lp.matrix[ineq] * lp.senses[ineq, None],
-        b_ub=lp.rhs[ineq] * lp.senses[ineq],
-        A_eq=lp.matrix[~ineq],
-        b_eq=lp.rhs[~ineq],
+        A_ub=lp.matrix * lp.senses[:, None],  # written as <= rows for linprog
+        b_ub=lp.rhs * lp.senses,
+        A_eq=groups.astype(float),
+        b_eq=np.ones(lp.num_groups),
         method="highs",
         # HiGHS's default 1e-7 tolerances would skip state masses below them.
         options={"primal_feasibility_tolerance": 1e-10,
@@ -288,7 +291,7 @@ def test_solving_does_not_import_scipy():
 
 
 def _rows_by_loop(system, weighted):
-    """The obedience LP built one row and one coefficient at a time."""
+    """The obedience LP built one row and one coefficient at a time, groups by state."""
     k_count, s_count = system.num_locations, system.state_count
     mu, util = system.joint_vector, system.utility_matrix
     n = s_count * (k_count + 1)
@@ -320,13 +323,10 @@ def _rows_by_loop(system, weighted):
         rows.append(row_with(0, mu * util[:, k]))
         relations.append(LESS)
         rhs.append(0.0)
+    groups = np.zeros(n, dtype=int)
     for w in range(s_count):
-        row = np.zeros(n)
-        row[w * (k_count + 1) : (w + 1) * (k_count + 1)] = 1.0
-        rows.append(row)
-        relations.append(EQUAL)
-        rhs.append(1.0)
-    return objective, np.array(rows), relations, rhs
+        groups[w * (k_count + 1) : (w + 1) * (k_count + 1)] = w
+    return objective, np.array(rows), relations, rhs, groups
 
 
 @pytest.mark.parametrize("kind", ["independent", "joint", "weighted"])
@@ -335,8 +335,9 @@ def test_index_arithmetic_build_equals_row_by_row_build(kind):
         system = _random_system(seed, kind)
         weighted = kind == "weighted"
         lp = build_centralized_lp(system, weighted)
-        objective, matrix, relations, rhs = _rows_by_loop(system, weighted)
+        objective, matrix, relations, rhs, groups = _rows_by_loop(system, weighted)
         assert np.array_equal(lp.objective, objective)
         assert np.array_equal(lp.matrix, matrix)
         assert lp.relations.tolist() == relations
         assert lp.rhs.tolist() == rhs
+        assert np.array_equal(lp.groups, groups)

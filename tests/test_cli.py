@@ -220,6 +220,9 @@ def test_range_guards_exit_2(runner):
         ["verify", "correlated-bound", "--K", "1..2"],
         ["verify", "tightness", "--X", "0.5"],
         ["verify", "tightness", "--X", "a,b"],
+        ["verify", "tightness", "--X", ""],
+        ["verify", "independent-bound", "--trials", "0"],
+        ["sweep", "tightness", "--X", ""],
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sigmech.lp import (
-    EQUAL,
     GREATER,
     LESS,
+    SPARSE_ROW,
     LinearProgram,
     solve,
     violation_at,
@@ -20,26 +20,16 @@ def enumerate_vertices(lp):
     """Best objective over all basic feasible points, by brute force.
 
     Stacks constraints and the x >= 0 bounds as candidate active rows,
-    solves every full-rank n-subset that includes all equality rows, and
+    solves every full-rank n-subset that includes all group-sum rows, and
     keeps feasible solutions.  Only suitable for tiny LPs.
     """
     n = lp.n_vars
-    rows = []
-    required = []
-    for coeffs, relation, rhs in zip(lp.matrix, lp.relations, lp.rhs):
-        if relation == EQUAL:
-            required.append((coeffs, rhs))
-        else:
-            rows.append((coeffs, rhs))
+    rows = [(coeffs, rhs) for coeffs, rhs in zip(lp.matrix, lp.rhs)]
+    required = [((lp.groups == g).astype(float), 1.0) for g in range(lp.num_groups)]
     for j in range(n):
         unit = np.zeros(n)
         unit[j] = 1.0
         rows.append((unit, 0.0))
-
-    if len(required) > n:
-        # Overdetermined equality system; only subsets of the equalities
-        # themselves can pin a vertex.
-        rows, required = required, []
 
     best = None
     best_x = None
@@ -84,12 +74,7 @@ def test_two_variable_optimum_matches_vertex_enumeration():
 
 
 def test_equality_constraints_native():
-    lp = LinearProgram(
-        (1.0, 2.0, -1.0),
-        [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
-        (EQUAL, GREATER),
-        (1.0, -0.5),
-    )
+    lp = LinearProgram((1.0, 2.0, -1.0), [[1.0, -1.0, 0.0]], (GREATER,), (-0.5,), (0, 0, 0))
     sol = solve(lp, [2])  # x2 = 1 satisfies x0 - x1 >= -0.5
     oracle_value, _ = enumerate_vertices(lp)
     assert sol.objective_value == pytest.approx(oracle_value, abs=1e-8)
@@ -129,30 +114,33 @@ def test_degenerate_cycling_instance_terminates():
 def _random_lp_with_start(rng):
     """Random bounded LP over x >= 0 and a feasible start basis, both by construction.
 
-    The start point x0 is positive on one column per equality row and
-    zero elsewhere.  Every row holds at x0, inequalities with random
-    slack, and a last row sum(x) <= cap keeps the LP bounded.  Returns
-    (lp, basis).
+    With groups, every column lies in one of them and the start point x0
+    is 1 on one random member per group and zero elsewhere.  Every row
+    holds at x0 with random slack, and a last row sum(x) <= cap keeps
+    the LP bounded.  Returns (lp, basis).
     """
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 9))
-    num_equal = int(rng.integers(0, min(n, m) + 1))
-    basis = rng.choice(n, num_equal, replace=False)
+    num_groups = int(rng.integers(0, n + 1))
+    groups, basis = None, np.zeros(0, dtype=int)
     x0 = np.zeros(n)
-    x0[basis] = rng.uniform(0.2, 2.0, num_equal)
-    relations = [EQUAL] * num_equal + [LESS if rng.integers(0, 2) else GREATER
-                                       for _ in range(m - num_equal)]
-    relations = [relations[i] for i in rng.permutation(m)]
+    if num_groups:
+        # The first num_groups columns of a permutation found the groups.
+        order = rng.permutation(n)
+        groups = np.empty(n, dtype=int)
+        groups[order[:num_groups]] = np.arange(num_groups)
+        groups[order[num_groups:]] = rng.integers(0, num_groups, n - num_groups)
+        basis = np.array([rng.choice(np.flatnonzero(groups == g)) for g in range(num_groups)])
+        x0[basis] = 1.0
+    relations = [LESS if rng.integers(0, 2) else GREATER for _ in range(m)]
     matrix = rng.uniform(-2.0, 2.0, (m, n))
-    equal = np.array(relations) == EQUAL
-    while num_equal and np.linalg.cond(matrix[np.ix_(equal, basis)]) > 1e3:
-        matrix[equal] = rng.uniform(-2.0, 2.0, (num_equal, n))
     slack = rng.uniform(0.0, 1.5, m)
-    sign = np.array([{LESS: 1.0, GREATER: -1.0, EQUAL: 0.0}[r] for r in relations])
+    sign = np.array([{LESS: 1.0, GREATER: -1.0}[r] for r in relations])
     rhs = matrix @ x0 + sign * slack
     matrix = np.vstack([matrix, np.ones(n)])
     rhs = np.append(rhs, x0.sum() + rng.uniform(0.5, 3.0))
-    return LinearProgram(rng.uniform(-2.0, 2.0, n), matrix, relations + [LESS], rhs), basis
+    lp = LinearProgram(rng.uniform(-2.0, 2.0, n), matrix, relations + [LESS], rhs, groups)
+    return lp, basis
 
 
 def test_random_lps_match_vertex_enumeration():
@@ -186,33 +174,23 @@ def test_reported_violation_matches_recomputation():
             lhs = float(np.dot(coeffs, x))
             if relation == LESS:
                 recomputed = max(recomputed, lhs - rhs)
-            elif relation == GREATER:
-                recomputed = max(recomputed, rhs - lhs)
             else:
-                recomputed = max(recomputed, abs(lhs - rhs))
+                recomputed = max(recomputed, rhs - lhs)
+        for g in range(lp.num_groups):
+            recomputed = max(recomputed, abs(float(x[lp.groups == g].sum()) - 1.0))
         recomputed = max(recomputed, float(-x.min()))
         assert abs(recomputed - sol.max_violation) <= 1e-12
         assert sol.max_violation <= 1e-8
 
 
-def _simplex_lp(scale=1.0):
-    """max x0 + 2 x1 - x2 on the simplex x0 + x1 + x2 = 1, with x1 <= 0.6.
-
-    ``scale`` multiplies the equality row, so the start basis block is
-    not the identity unless it is 1.
-    """
-    return LinearProgram(
-        (1.0, 2.0, -1.0),
-        [[scale, scale, scale], [0.0, 1.0, 0.0]],
-        (EQUAL, LESS),
-        (scale, 0.6),
-    )
+def _simplex_lp():
+    """max x0 + 2 x1 - x2 on the simplex x0 + x1 + x2 = 1 (one group), with x1 <= 0.6."""
+    return LinearProgram((1.0, 2.0, -1.0), [[0.0, 1.0, 0.0]], (LESS,), (0.6,), (0, 0, 0))
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.5])
-def test_warm_start_matches_two_phase_and_vertex_enumeration(scale):
+def test_warm_start_matches_two_phase_and_vertex_enumeration():
     """Two different feasible starts reach the vertex-enumeration optimum."""
-    lp = _simplex_lp(scale)
+    lp = _simplex_lp()
     oracle_value, _ = enumerate_vertices(lp)
     for start in (0, 2):  # x0 = 1 or x2 = 1; both satisfy x1 <= 0.6
         warm = solve(lp, basis=[start])
@@ -220,34 +198,67 @@ def test_warm_start_matches_two_phase_and_vertex_enumeration(scale):
         assert warm.x == pytest.approx((0.4, 0.6, 0.0), abs=1e-12)
 
 
-def test_warm_start_rejects_infeasible_singular_and_misshapen_bases():
-    lp = LinearProgram(
-        (1.0, 2.0),
-        [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
-        (EQUAL, LESS, EQUAL),
-        (1.0, 0.6, 0.5),
-    )
+def test_warm_start_rejects_infeasible_and_misshapen_bases():
+    lp = LinearProgram((1.0, 2.0), [[0.0, 1.0]], (LESS,), (0.6,), (0, 1))
     with pytest.raises(SolverError, match="infeasible"):
         solve(_simplex_lp(), basis=[1])  # x1 = 1 breaks x1 <= 0.6
     with pytest.raises(SolverError, match="infeasible"):  # all slacks: x = 0 breaks x >= 1
         solve(LinearProgram((1.0,), [[1.0], [1.0]], (GREATER, LESS), (1.0, 2.0)), [])
-    with pytest.raises(SolverError, match="singular"):
-        solve(lp, basis=[1, 1])
     with pytest.raises(InputError):
         solve(lp, basis=[0])
     with pytest.raises(InputError):
         solve(lp, basis=[0, 2])
 
 
-def test_row_sparse_pivot_equals_dense_update():
-    from sigmech.lp import _Tableau
+def test_solve_rejects_a_start_column_outside_its_group():
+    lp = LinearProgram((1.0, 2.0, 0.5), [[0.0, 1.0, 0.0]], (LESS,), (0.6,), (0, 0, 1))
+    assert solve(lp, basis=[0, 2]).objective_value == pytest.approx(2.1, abs=1e-12)
+    with pytest.raises(InputError, match="not a member of group 1"):
+        solve(lp, basis=[0, 1])
+    with pytest.raises(InputError, match="not a member of group 0"):
+        solve(lp, basis=[2, 2])
 
-    rng = np.random.default_rng(3)
+
+def test_violation_reports_group_sum_gap():
+    lp = LinearProgram((1.0, 1.0, 1.0), [[1.0, 0.0, 0.0]], (LESS,), (1.0,), (0, 0, 1))
+    assert violation_at(lp, (0.5, 0.4, 1.0)) == pytest.approx(0.1, abs=1e-15)
+    assert violation_at(lp, (0.5, 0.5, 1.0)) == 0.0
+
+
+def test_malformed_groups_rejected():
+    with pytest.raises(InputError, match="3 integer group ids"):
+        LinearProgram((1.0, 1.0, 1.0), groups=(0, 1))
+    with pytest.raises(InputError, match="3 integer group ids"):
+        LinearProgram((1.0, 1.0, 1.0), groups=(0.0, 1.0, 1.0))
+    with pytest.raises(InputError, match="nonnegative"):
+        LinearProgram((1.0, 1.0, 1.0), groups=(0, -1, 1))
+
+
+def _tableau_cases(rng):
+    """Dense-row cases (12 columns, 60% zeros), then pivot rows below the
+    SPARSE_ROW cut (40 columns, 3 nonzeros in the pivot row)."""
     for _ in range(20):
         body = rng.uniform(-2.0, 2.0, (9, 12))
         body[rng.uniform(size=body.shape) < 0.6] = 0.0
         row, col = int(rng.integers(0, 8)), int(rng.integers(0, 11))
         body[row, col] = rng.uniform(0.5, 2.0)
+        yield body, row, col
+    for _ in range(20):
+        body = rng.uniform(-2.0, 2.0, (9, 40))
+        body[rng.uniform(size=body.shape) < 0.5] = 0.0
+        row, col = int(rng.integers(0, 8)), int(rng.integers(0, 39))
+        body[row] = 0.0
+        body[row, rng.choice(40, 2, replace=False)] = rng.uniform(-2.0, 2.0, 2)
+        body[row, col] = rng.uniform(0.5, 2.0)
+        assert np.count_nonzero(body[row]) < SPARSE_ROW * body.shape[1]
+        yield body, row, col
+
+
+def test_row_sparse_pivot_equals_dense_update():
+    from sigmech.lp import _Tableau
+
+    rng = np.random.default_rng(3)
+    for body, row, col in _tableau_cases(rng):
         dense = body.copy()
         dense[row] /= dense[row, col]
         factors = dense[:, col].copy()
