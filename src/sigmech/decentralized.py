@@ -223,8 +223,10 @@ def correlated_fallback(
     The location with the largest recommended mass signals 1 with the
     probability that the centralized mechanism would have recommended
     it, conditional on that location's own state; everyone else signals
-    0.  A best response then achieves at least 1/K of the centralized
-    throughput.
+    0.  Masses within ``oracle.TIE_TOL`` of the largest tie (on symmetric
+    instances they differ only by the LP's roundoff), and the first of
+    them signals.  A best response then achieves at least 1/K of the
+    centralized throughput.
     """
     require_valid(system)
     num_locs = system.num_locations
@@ -234,7 +236,8 @@ def correlated_fallback(
         raise InputError("mechanism table does not match the system's state space")
 
     recommended = system.joint_vector[:, None] * central.table[:, 1:]  # (states, K)
-    pick = int(np.argmax(recommended.sum(axis=0)))
+    mass = recommended.sum(axis=0)
+    pick = int(np.flatnonzero(mass >= mass.max() - oracle.TIE_TOL)[0])
 
     numer = np.zeros(system.locations[pick].num_states)
     np.add.at(numer, system.state_index_matrix[:, pick], recommended[:, pick])

@@ -325,6 +325,24 @@ def test_fallback_formula_on_independent_pair():
     assert mech.parts[1].table[:, 1] == pytest.approx(expected, abs=1e-12)
 
 
+def test_fallback_breaks_roundoff_ties_toward_the_first_location():
+    system = pair_system()
+    # masses 0.4 and 0.4 + 4e-16: equal up to roundoff, so location 1 signals
+    table = np.zeros((4, 3))
+    table[:, 1] = 0.4
+    table[:, 2] = 0.4 + 4e-16
+    table[:, 0] = 1.0 - table[:, 1] - table[:, 2]
+    central = CentralizedMechanism((0, 1, 2), table)
+    mech = correlated_fallback(system, central)
+    assert float(mech.parts[0].table[:, 1].max()) > 0.0
+    assert float(mech.parts[1].table[:, 1].max()) == 0.0
+    # a clear lead still wins
+    table[:, 2] = 0.41
+    table[:, 0] = 1.0 - table[:, 1] - table[:, 2]
+    mech = correlated_fallback(system, CentralizedMechanism((0, 1, 2), table))
+    assert float(mech.parts[0].table[:, 1].max()) == 0.0
+
+
 def test_fallback_on_correlated_worst_case():
     system = make_correlated_instance(2, 10.0)
     _, report = solve_centralized(system)
