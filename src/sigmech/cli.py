@@ -39,11 +39,11 @@ from .model import (
 )
 
 # Largest K for which sweep runs the centralized LP on the correlated
-# generator.  On a 2-vCPU VM `sweep correlated --K 2..7` runs in about
-# 0.4 s with a 350 MiB peak (K=7: 2187 states, 17496 variables).  K=8
-# (6561 states, 59049 variables, 72 matrix rows) would need only the
-# dense tableau, 6634 x 59122 floats or about 3.1 GB.
-LP_SIZE_CAP = 7
+# generator.  On a 2-vCPU VM `sweep correlated --K 2..8` runs in about
+# 0.3 s with a 114 MiB peak (K=8: 6561 states, 59049 variables, a 73 x
+# 59122 tableau).  K=9 (19683 states, 196830 variables) fits in memory
+# but stops on an infeasible final basis (SolverError, violation 0.098).
+LP_SIZE_CAP = 8
 
 
 def _fail(message: str, code: int) -> None:

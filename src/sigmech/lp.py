@@ -1,16 +1,35 @@
 """A small dense linear-program representation and simplex solver.
 
-Sized for the obedience LPs this package builds: hundreds to a few
-thousand dense variables, every one of them nonnegative.  An LP is held
-as numpy arrays: an objective, a matrix of ``<=`` and ``>=`` rows with
-their rhs, and optional column groups.  ``groups[j]`` names the group of
-column j, and every group's columns sum to 1.  These are generalized
-upper bounds (Dantzig and Van Slyke, JCSS 1967): the obedience LPs' one
-row sum per state is held as a group, not as a matrix row.
+Sized for the obedience LPs this package builds: hundreds of thousands
+of variables at most, every one of them nonnegative, and a few hundred
+matrix rows.  An LP is held as numpy arrays: an objective, a matrix of
+``<=`` and ``>=`` rows with their rhs, and optional column groups.
+``groups[j]`` names the group of column j, and every group's columns
+sum to 1.  The obedience LPs' one row sum per state is held as a group,
+not as a matrix row.
+
+The simplex keeps the groups out of its tableau too: generalized upper
+bounding (Dantzig and Van Slyke, JCSS 1967).  Each group has one basic
+*key* column whose value is 1 minus the group's other basic columns,
+so the tableau holds only the m matrix rows and the cost row, (m + 1) x
+(n + m + 1) floats for n variables, whatever the number of groups.  A
+key's row is implicit: the group row minus the rows that hold members
+of the group.  The ratio test asks every key too, and the leaving
+variable is one of three kinds:
+
+- a row basic: the usual pivot;
+- a key whose group no row holds (*key replacement*): the entering
+  column, then a member of the same group, becomes the key, which
+  shifts the group's columns, the rhs and the cost row by the entering
+  column;
+- a key whose group some row holds (*key swap*): the first holding row
+  takes the key's implicit row and the key as its basic, its old basic
+  becomes the key, and that row pivots as usual.
 
 Pricing is Dantzig's rule with a permanent switch to Bland's rule after
 a degenerate stall (which guarantees termination), and the iteration
-cap is 50 * (variables + rows + groups).  A pivot updates only the
+cap is 50 * (variables + rows + groups).  Ratio-test ties go to the
+smallest basic column index, keys included.  A pivot updates only the
 tableau rows with a nonzero entry in the pivot column.  If the
 normalized pivot row is sparse (nonzeros below SPARSE_ROW of the
 tableau width) it updates only the columns where that row is nonzero;
@@ -20,14 +39,13 @@ and the pivot path do not depend on which one runs.
 
 One way in: ``solve(lp, basis)`` starts from a basis the caller knows
 to be feasible.  ``basis`` names one member column per group, in group
-order; every matrix row starts on its own slack.  The solver writes each
-group as a tableau row of ones with rhs 1, removes the named columns
-from the matrix rows (with one member per group basic, that is a
-gather: row r loses its entry at the named column of each column's
-group), checks that the resulting basic solution is feasible
-(rhs >= -FEAS_TOL, else SolverError) and runs the simplex from there.
-For an LP without groups the basis is empty, which needs every rhs of
-a ``<=`` row to be nonnegative (and of a ``>=`` row nonpositive).
+order, as its key; every matrix row starts on its own slack.  The
+solver subtracts the keys' columns from the matrix rows (a gather: row
+r loses its entry at the key of each column's group), checks that the
+resulting basic solution is feasible (rhs >= -FEAS_TOL, else
+SolverError) and runs the simplex from there.  For an LP without groups
+the basis is empty, which needs every rhs of a ``<=`` row to be
+nonnegative (and of a ``>=`` row nonpositive).
 
 One way out: a returned solution is optimal, and every failure,
 an unbounded LP included, raises SolverError.
@@ -91,6 +109,8 @@ class LinearProgram:
     groups: np.ndarray | Sequence[int] | None = None
     # The relations as +1 (<=) or -1 (>=), derived from ``relations``.
     senses: np.ndarray = field(init=False, repr=False)
+    # Number of column groups: one more than the largest group id.
+    num_groups: int = field(init=False, repr=False)
 
     def __post_init__(self):
         objective = np.asarray(self.objective, dtype=float)
@@ -112,6 +132,8 @@ class LinearProgram:
             if n and groups.min() < 0:
                 raise InputError(f"group ids must be nonnegative, got {groups.min()}")
             object.__setattr__(self, "groups", groups)
+        num_groups = int(self.groups.max()) + 1 if self.groups is not None and n else 0
+        object.__setattr__(self, "num_groups", num_groups)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "relations", relations)
@@ -127,13 +149,6 @@ class LinearProgram:
     def n_constraints(self) -> int:
         """Number of matrix rows; the group sums are not counted."""
         return self.matrix.shape[0]
-
-    @property
-    def num_groups(self) -> int:
-        """Number of column groups: one more than the largest group id."""
-        if self.groups is None or self.groups.size == 0:
-            return 0
-        return int(self.groups.max()) + 1
 
     @property
     def constraints(self) -> tuple[ConstraintRow, ...]:
@@ -181,23 +196,50 @@ def violation_at(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 class _Tableau:
-    """Dense simplex tableau; last row holds reduced costs, last column rhs.
+    """Simplex tableau of the matrix rows; last row holds reduced costs, last column rhs.
 
     The bottom-right cell carries the negated objective so a single pivot
     routine updates everything.
+
+    Column groups stay out of the tableau (generalized upper bounding).
+    ``groups`` holds the group of each of the first ``groups.size``
+    columns; the other columns (the slacks) belong to none.  ``basis``
+    names row r's basic column at r, then one basic *key* column per
+    group.  No row holds a key: its tableau column is zero, the other
+    columns of its group are stored relative to it, and its value is 1
+    minus the values of the group's columns basic in rows.  Its implicit
+    row is the group row (ones on the group, rhs 1) minus the rows that
+    hold the group.  ``row_bin[r]`` is the group of row r's basic column,
+    or the number of groups for a column outside every group; the rows
+    start on such columns.  So the tableau takes O(m n) memory for m rows
+    and n columns, however many groups there are.  A leaving row basic
+    pivots (``_pivot``); a leaving key is replaced or swapped
+    (``_leave_key``).
     """
 
-    def __init__(self, body: np.ndarray, basis: np.ndarray, cap: int):
+    def __init__(
+        self,
+        body: np.ndarray,
+        basis: np.ndarray,
+        cap: int,
+        groups: np.ndarray = np.zeros(0, dtype=int),
+    ):
         self.T = np.ascontiguousarray(body)
         self._flat = self.T.reshape(-1)  # a view, for the sparse pivot's gather
         self.basis = basis
+        self.groups = groups
+        m = self.num_rows
+        self._no_group = basis.size - m  # the number of groups: row_bin of a slack
+        self.row_bin = np.full(m, self._no_group)
+        self._held = 0  # rows whose basic column lies in a group
         self.cap = cap
         self.iterations = 0
         self.bland = False
         self._best = -math.inf
         self._stall = 0
-        # Degenerate pivots beyond this switch pricing to Bland's rule.
-        self._stall_limit = 10 * (body.shape[0] + 25)
+        # Degenerate pivots beyond this switch pricing to Bland's rule.  Every
+        # key counts as the row its group would be in a tableau holding it.
+        self._stall_limit = 10 * (basis.size + 1 + 25)
 
     @property
     def num_cols(self) -> int:
@@ -208,14 +250,33 @@ class _Tableau:
         return self.T.shape[0] - 1
 
     def objective(self) -> float:
-        return -float(self.T[-1, -1])
+        return -self.T.item(-1)
 
-    def set_costs(self, costs: np.ndarray) -> None:
-        """Recompute the reduced-cost row for the current basis."""
+    def _group_of(self, col: int) -> int:
+        return self.groups.item(col) if col < self.groups.size else self._no_group
+
+    def values(self) -> np.ndarray:
+        """The basic solution: row basics from the rhs, keys from their group sums."""
         m = self.num_rows
-        cb = costs[self.basis]
-        self.T[-1, : self.num_cols] = costs - cb @ self.T[:m, : self.num_cols]
-        self.T[-1, -1] = -float(cb @ self.T[:m, -1])
+        rhs = self.T[:m, -1]
+        x = np.zeros(self.num_cols)
+        x[self.basis[:m]] = rhs
+        x[self.basis[m:]] = 1.0 - np.bincount(self.row_bin, rhs, self._no_group + 1)[:-1]
+        return x
+
+    def _key_ratios(self, column: np.ndarray, g: int, out: np.ndarray) -> None:
+        """Write each key's ratio for an entering ``column`` of group g into ``out``.
+
+        Key h falls at rate [h = g] minus the column's entries in the rows
+        holding h, from its value 1 minus their rhs.  A key that does not
+        fall keeps its entry.  ``out`` has one more entry, for the slacks.
+        """
+        bins, size = self.row_bin, out.size
+        falls = np.bincount(bins, column, size)  # minus each key's rate
+        falls[g] -= 1.0
+        falls[-1] = 0.0
+        values = np.bincount(bins, self.T[:-1, -1], size)  # 1 minus each key's value
+        np.divide(values - 1.0, falls, out=out, where=falls < -PIVOT_TOL)
 
     def _pivot(self, row: int, col: int) -> None:
         """Gauss-Jordan pivot touching only the entries it changes.
@@ -241,12 +302,46 @@ class _Tableau:
         column[:] = 0.0
         pivot_row[col] = 1.0
         self.basis[row] = col
+        new = self._group_of(col)
+        self._held += (new < self._no_group) - (self.row_bin.item(row) < self._no_group)
+        self.row_bin[row] = new
+
+    def _leave_key(self, g: int, col: int) -> None:
+        """Basis change in which the key of group g leaves and ``col`` enters.
+
+        If no row holds group g, ``col`` (then a member of g) becomes the
+        key: a rank-one update of the group's columns, the rhs and the
+        cost row.  Otherwise the first holding row takes the key's
+        implicit row, the key and that row's basic swap places, and the
+        row pivots as usual.
+        """
+        T = self.T
+        key = self.num_rows + g
+        holding = (self.row_bin == g).nonzero()[0]
+        if not holding.size:
+            T[:, -1] -= T[:, col]
+            T[:, (self.groups == g).nonzero()[0]] -= T[:, col, None]
+            self.basis[key] = col
+            return
+        row = holding.item(0)
+        implicit = np.negative(T[row], out=T[row])
+        for r in holding[1:]:
+            implicit -= T[r]
+        implicit[(self.groups == g).nonzero()[0]] += 1.0
+        implicit[-1] += 1.0
+        basis = self.basis
+        basis[row], basis[key] = basis.item(key), basis.item(row)
+        self._pivot(row, col)
 
     def run(self) -> None:
         """Pivot to optimality; raise SolverError if the LP is unbounded."""
         T = self.T
         m = self.num_rows
         n = self.num_cols
+        rhs = T[:m, -1]
+        # Ratios of the row basics, then of the keys, then a slot for the slacks.
+        ratios = np.empty(self.basis.size + 1)
+        row_ratios, key_ratios = ratios[:m], ratios[m:]
         while True:
             costs = T[-1, :n]
             if self.bland:
@@ -255,20 +350,28 @@ class _Tableau:
                     return
                 col = int(eligible[0])
             else:
-                col = int(np.argmax(costs))
+                col = costs.argmax().item()
                 if costs[col] <= OPT_TOL:
                     return
             column = T[:m, col]
-            positive = column > PIVOT_TOL
-            if not positive.any():
+            ratios.fill(math.inf)
+            np.divide(rhs, column, out=row_ratios, where=column > PIVOT_TOL)
+            g = self._group_of(col)
+            if self._held:
+                self._key_ratios(column, g, key_ratios)
+            elif g < self._no_group:  # every key is 1 and only g's key falls, at rate 1
+                key_ratios[g] = 1.0
+            best = ratios.min()
+            if best == math.inf:
                 raise SolverError(f"the LP is unbounded along column {col}")
-            ratios = np.full(m, math.inf)
-            ratios[positive] = T[:m, -1][positive] / column[positive]
-            # Only rows at the minimum ratio may leave, so every basic value
-            # stays nonnegative; ties go to the smallest basis index.
-            tied = np.nonzero(ratios <= ratios.min())[0]
-            row = int(tied[np.argmin(self.basis[tied])])
-            self._pivot(row, col)
+            # Only basics at the minimum ratio may leave, so every basic value
+            # stays nonnegative; ties go to the smallest basic column index.
+            tied = np.nonzero(ratios <= best)[0]
+            leave = tied[self.basis[tied].argmin()].item()
+            if leave < m:
+                self._pivot(leave, col)
+            else:
+                self._leave_key(leave - m, col)
             self.iterations += 1
             if self.iterations > self.cap:
                 raise SolverError(
@@ -284,38 +387,49 @@ class _Tableau:
                     self.bland = True
 
 
-def _warm_tableau(lp: LinearProgram, start: np.ndarray, cap: int) -> _Tableau:
-    """Tableau in the basis of every matrix row's slack plus ``start`` (one per group).
+# Floats per column block of _warm_tableau's gather (8 MiB), so that its
+# temporary does not grow with the LP.
+_GATHER_FLOATS = 1 << 20
 
-    The matrix rows come first, then one row of ones per group.  Row r of
-    the matrix loses A[r, start[groups[j]]] at every column j and, since
-    each group sums to 1, the sum of its start-column entries at the rhs.
+
+def _warm_tableau(lp: LinearProgram, start: np.ndarray, cap: int) -> _Tableau:
+    """Tableau in the basis of every matrix row's slack plus the keys ``start``.
+
+    Row r of the matrix loses A[r, start[groups[j]]] at every column j
+    and, since each group sums to 1, the sum of its start-column entries
+    at the rhs; the costs lose the start column's cost the same way.
     """
     m, n = lp.matrix.shape
-    body = np.zeros((m + start.size + 1, n + m + 1))
-    T = body[:-1]
-    rows = T[:m]
-    rows[:, :n] = lp.matrix
-    rows[:, -1] = lp.rhs
+    body = np.zeros((m + 1, n + m + 1))
+    rows = body[:m]
     # Every inequality becomes a <= row with a +1 slack.
-    rows[lp.senses < 0] *= -1.0
-    slack_cols = n + np.arange(m)
-    rows[np.arange(m), slack_cols] = 1.0
+    np.multiply(lp.matrix, lp.senses[:, None], out=rows[:, :n])
+    np.multiply(lp.rhs, lp.senses, out=rows[:, -1])
+    np.fill_diagonal(rows[:, n : n + m], 1.0)
+    costs = body[-1]
+    groups = np.zeros(0, dtype=int)
     if start.size:
+        groups = lp.groups
         coupling = rows[:, start]
-        rows[:, :n] -= coupling[:, lp.groups]
+        step = max(1, _GATHER_FLOATS // max(m, 1))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            rows[:, lo:hi] -= coupling[:, groups[lo:hi]]
         rows[:, -1] -= coupling.sum(axis=1)
-        T[m + lp.groups, np.arange(n)] = 1.0
-        T[m:, -1] = 1.0
+        key_costs = lp.objective[start]
+        np.subtract(lp.objective, key_costs[groups], out=costs[:n])
+        costs[-1] = -key_costs.sum()
+    else:
+        costs[:n] = lp.objective
 
-    values = T[:, -1]
+    values = rows[:, -1]
     if values.size and values.min() < -FEAS_TOL:
         raise SolverError(
             f"start basis is infeasible: a basic variable is {values.min():.3g}, "
             f"below -{FEAS_TOL}"
         )
     np.maximum(values, 0.0, out=values)
-    return _Tableau(body, np.concatenate([slack_cols, start]), cap)
+    return _Tableau(body, np.concatenate([np.arange(n, n + m), start]), cap, groups)
 
 
 def solve(
@@ -351,15 +465,9 @@ def solve(
             g = int(outside[0])
             raise InputError(f"basis column {start[g]} is not a member of group {g}")
     tableau = _warm_tableau(lp, start, cap)
-
-    costs = np.zeros(tableau.num_cols)
-    costs[: lp.n_vars] = lp.objective
-    tableau.set_costs(costs)
     tableau.run()
 
-    x = np.zeros(tableau.num_cols)
-    x[tableau.basis] = tableau.T[: tableau.num_rows, -1]
-    x = x[: lp.n_vars]
+    x = tableau.values()[: lp.n_vars]
     objective = float(np.dot(lp.objective, x))
     worst = violation_at(lp, x)
     if worst > FEAS_TOL:

@@ -264,6 +264,14 @@ def test_correlated_k7_solves_to_full_throughput():
     assert abs(report.throughput - 1.0) <= 1e-9
 
 
+def test_correlated_k8_solves_to_full_throughput():
+    # 6561 states and 59049 variables: the largest correlated LP that sweep
+    # solves (cli.LP_SIZE_CAP).  A tableau holding the group rows would need
+    # about 3 GB for it.
+    _, report = solve_centralized(make_correlated_instance(8, 1000.0))
+    assert abs(report.throughput - 1.0) <= 1e-9
+
+
 def test_tightness_k10_large_scale_reaches_full_throughput():
     inst = make_tightness_instance(10, 1000.0)
     _, report = solve_centralized(inst.system)

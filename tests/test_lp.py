@@ -111,17 +111,24 @@ def test_degenerate_cycling_instance_terminates():
     assert sol.objective_value == pytest.approx(0.05, abs=1e-9)
 
 
-def _random_lp_with_start(rng):
+def _random_lp_with_start(rng, grouped=False):
     """Random bounded LP over x >= 0 and a feasible start basis, both by construction.
 
     With groups, every column lies in one of them and the start point x0
     is 1 on one random member per group and zero elsewhere.  Every row
     holds at x0 with random slack, and a last row sum(x) <= cap keeps
-    the LP bounded.  Returns (lp, basis).
+    the LP bounded.  A ``grouped`` LP has 4 to 6 columns in 1 to n // 2
+    groups and 1 to 5 rows before the cap, so most groups have several
+    members.  Returns (lp, basis).
     """
-    n = int(rng.integers(1, 7))
-    m = int(rng.integers(1, 9))
-    num_groups = int(rng.integers(0, n + 1))
+    if grouped:
+        n = int(rng.integers(4, 7))
+        m = int(rng.integers(1, 6))
+        num_groups = int(rng.integers(1, n // 2 + 1))
+    else:
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 9))
+        num_groups = int(rng.integers(0, n + 1))
     groups, basis = None, np.zeros(0, dtype=int)
     x0 = np.zeros(n)
     if num_groups:
@@ -151,6 +158,48 @@ def test_random_lps_match_vertex_enumeration():
         oracle_value, _ = enumerate_vertices(lp)
         assert oracle_value is not None
         assert abs(sol.objective_value - oracle_value) <= 1e-6
+
+
+def test_grouped_random_lps_take_every_basis_change(monkeypatch):
+    """Row pivots, key replacements and key swaps each occur many times, and
+    every LP still reaches the vertex-enumeration optimum."""
+    from sigmech.lp import _Tableau
+
+    counts = {"row pivot": 0, "key replacement": 0, "key swap": 0}
+    leave_key, run = _Tableau._leave_key, _Tableau.run
+
+    def counting_leave_key(self, g, col):
+        held = (self.row_bin == g).any()
+        counts["key swap" if held else "key replacement"] += 1
+        counts["row pivot"] -= 1  # counted in the iterations below
+        leave_key(self, g, col)
+
+    def counting_run(self):
+        run(self)
+        counts["row pivot"] += self.iterations
+
+    monkeypatch.setattr(_Tableau, "_leave_key", counting_leave_key)
+    monkeypatch.setattr(_Tableau, "run", counting_run)
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        lp, basis = _random_lp_with_start(rng, grouped=True)
+        sol = solve(lp, basis)
+        oracle_value, _ = enumerate_vertices(lp)
+        assert abs(sol.objective_value - oracle_value) <= 1e-6
+    assert min(counts.values()) >= 20, counts
+
+
+def test_tableau_holds_only_the_matrix_rows():
+    """Column groups stay out of the tableau: K^2 + K rows plus the cost row."""
+    from sigmech.bounds import make_tightness_instance
+    from sigmech.centralized import build_centralized_lp, uninformative_basis
+    from sigmech.lp import _warm_tableau
+
+    system = make_tightness_instance(9, 10.0).system
+    lp = build_centralized_lp(system)
+    tableau = _warm_tableau(lp, uninformative_basis(system), cap=1)
+    assert lp.num_groups == system.state_count == 512
+    assert tableau.T.shape == (9 * 9 + 9 + 1, lp.n_vars + lp.n_constraints + 1)
 
 
 def test_solve_is_deterministic():
