@@ -39,11 +39,15 @@ from .model import (
 )
 
 # Largest K for which sweep runs the centralized LP on the correlated
-# generator.  On a 2-vCPU VM `sweep correlated --K 2..8` runs in about
-# 0.3 s with a 114 MiB peak (K=8: 6561 states, 59049 variables, a 73 x
-# 59122 tableau).  K=9 (19683 states, 196830 variables) fits in memory
-# but stops on an infeasible final basis (SolverError, violation 0.098).
-LP_SIZE_CAP = 8
+# generator.  On a 2-vCPU VM `sweep correlated --K 2..7` runs in about
+# 0.25 s with a 56 MiB peak (K=7: 2187 states, 17496 variables).  Memory
+# no longer sets the cap: K=8 (59049 variables, a 73 x 59122 tableau)
+# solves at penalty 1000 in about 0.3 s at 110 MiB.  But K=8 ends on an
+# infeasible final basis (SolverError) at 6 of 25 penalties spaced
+# evenly in log from 10 to 1e7, after pivots on elements just above
+# lp.PIVOT_TOL.  On the same grid K=2..7 go wrong at 12 of 150 (K,
+# penalty) pairs, 9 of them at penalties of 1e6 and above.
+LP_SIZE_CAP = 7
 
 
 def _fail(message: str, code: int) -> None:

@@ -222,16 +222,15 @@ class _Tableau:
         body: np.ndarray,
         basis: np.ndarray,
         cap: int,
-        groups: np.ndarray = np.zeros(0, dtype=int),
+        groups: np.ndarray | None = None,
     ):
         self.T = np.ascontiguousarray(body)
         self._flat = self.T.reshape(-1)  # a view, for the sparse pivot's gather
         self.basis = basis
-        self.groups = groups
+        self.groups = np.zeros(0, dtype=int) if groups is None else groups
         m = self.num_rows
         self._no_group = basis.size - m  # the number of groups: row_bin of a slack
         self.row_bin = np.full(m, self._no_group)
-        self._held = 0  # rows whose basic column lies in a group
         self.cap = cap
         self.iterations = 0
         self.bland = False
@@ -250,7 +249,7 @@ class _Tableau:
         return self.T.shape[0] - 1
 
     def objective(self) -> float:
-        return -self.T.item(-1)
+        return -float(self.T[-1, -1])
 
     def _group_of(self, col: int) -> int:
         return self.groups.item(col) if col < self.groups.size else self._no_group
@@ -302,9 +301,7 @@ class _Tableau:
         column[:] = 0.0
         pivot_row[col] = 1.0
         self.basis[row] = col
-        new = self._group_of(col)
-        self._held += (new < self._no_group) - (self.row_bin.item(row) < self._no_group)
-        self.row_bin[row] = new
+        self.row_bin[row] = self._group_of(col)
 
     def _leave_key(self, g: int, col: int) -> None:
         """Basis change in which the key of group g leaves and ``col`` enters.
@@ -350,24 +347,20 @@ class _Tableau:
                     return
                 col = int(eligible[0])
             else:
-                col = costs.argmax().item()
+                col = int(np.argmax(costs))
                 if costs[col] <= OPT_TOL:
                     return
             column = T[:m, col]
             ratios.fill(math.inf)
             np.divide(rhs, column, out=row_ratios, where=column > PIVOT_TOL)
-            g = self._group_of(col)
-            if self._held:
-                self._key_ratios(column, g, key_ratios)
-            elif g < self._no_group:  # every key is 1 and only g's key falls, at rate 1
-                key_ratios[g] = 1.0
+            self._key_ratios(column, self._group_of(col), key_ratios)
             best = ratios.min()
             if best == math.inf:
                 raise SolverError(f"the LP is unbounded along column {col}")
             # Only basics at the minimum ratio may leave, so every basic value
             # stays nonnegative; ties go to the smallest basic column index.
             tied = np.nonzero(ratios <= best)[0]
-            leave = tied[self.basis[tied].argmin()].item()
+            leave = int(tied[np.argmin(self.basis[tied])])
             if leave < m:
                 self._pivot(leave, col)
             else:
@@ -407,7 +400,7 @@ def _warm_tableau(lp: LinearProgram, start: np.ndarray, cap: int) -> _Tableau:
     np.multiply(lp.rhs, lp.senses, out=rows[:, -1])
     np.fill_diagonal(rows[:, n : n + m], 1.0)
     costs = body[-1]
-    groups = np.zeros(0, dtype=int)
+    groups = None
     if start.size:
         groups = lp.groups
         coupling = rows[:, start]

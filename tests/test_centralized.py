@@ -265,9 +265,10 @@ def test_correlated_k7_solves_to_full_throughput():
 
 
 def test_correlated_k8_solves_to_full_throughput():
-    # 6561 states and 59049 variables: the largest correlated LP that sweep
-    # solves (cli.LP_SIZE_CAP).  A tableau holding the group rows would need
-    # about 3 GB for it.
+    # 6561 states and 59049 variables.  A tableau holding the group rows
+    # would need about 3 GB for it; the groups' key columns keep it at 73
+    # rows.  Sweep still stops at K=7 (cli.LP_SIZE_CAP): other penalties
+    # end on a solver error at K=8.
     _, report = solve_centralized(make_correlated_instance(8, 1000.0))
     assert abs(report.throughput - 1.0) <= 1e-9
 

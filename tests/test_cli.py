@@ -261,10 +261,10 @@ def test_sweep_pair_row_constants(runner):
 
 
 def test_sweep_correlated_bounds_only_for_large_k(runner):
-    result = runner.invoke(main, ["sweep", "correlated", "--K", "2..9", "--X", "10"])
+    result = runner.invoke(main, ["sweep", "correlated", "--K", "2..8", "--X", "10"])
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.output)))
-    assert len(rows) == 8
+    assert len(rows) == 7
     for row in rows:
         k = int(row["K"])
         assert float(row["correlated_upper_bound"]) > float(row["one_over_K"])
