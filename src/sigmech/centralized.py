@@ -4,9 +4,21 @@ Signals are action recommendations 0..K (0 = leave).  The LP maximizes
 the recommended join mass subject to obedience: following is at least as
 good as any deviation, joining a recommended location beats leaving, and
 leaving when told to is a best response.
+
+Interchangeable locations (``SystemModel.location_classes``) make the LP
+invariant under permuting them, so averaging any optimum over those
+permutations gives an optimum that is constant on orbits (Bödi, Herr
+and Joswig, Math. Prog. 2013).  ``solve_centralized`` therefore solves
+the LP over orbits (:func:`orbit_lp`): one column per orbit of (state,
+action) pairs, one column group per orbit of states and one matrix row
+per orbit of rows.  It then spreads each orbit's value evenly over its
+members.  With no two locations alike every orbit is a single column or
+row, and the orbit LP is the full LP itself.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,19 +72,35 @@ def obedience_lp(mu: np.ndarray, util: np.ndarray, weights: np.ndarray) -> Linea
     )
 
 
-def uninformative_start(mu: np.ndarray, util: np.ndarray) -> np.ndarray:
+def uninformative_start(
+    mu: np.ndarray, util: np.ndarray, classes: tuple[tuple[int, ...], ...] = ()
+) -> np.ndarray:
     """Start basis of :func:`obedience_lp`: x(w, a*), one member of every state's group.
 
     a* is the location with the largest prior-mean utility ``mu @ util``
     if that mean is positive, else 0 (leave).  Following a* is then a
     best response to the prior, so this point satisfies every obedience
     row, for any objective, and is a feasible basis of the obedience LP.
+
+    If a* lies in one of ``classes`` (interchangeable locations), each
+    state instead recommends the member of a*'s class with the largest
+    utility there, the first on ties.  Spread evenly over each orbit, as
+    the orbit LP's start, this recommends a uniformly drawn member among
+    those in the class's best state.  That is obedient: the recommended
+    member is at least as good as every other member, and by symmetry
+    each member's recommendations carry an equal share of the class's
+    best utility, whose mean is at least a*'s positive prior mean, so
+    following beats leaving and every location outside the class.  With
+    a* alone in its class the start is x(w, a*).
     """
     means = mu @ util
     best = int(np.argmax(means))
-    action = best + 1 if means[best] > 0.0 else 0
     num_states, num_locs = util.shape
-    return np.arange(num_states) * (num_locs + 1) + action
+    first = np.arange(num_states) * (num_locs + 1)
+    if means[best] <= 0.0:
+        return first
+    members = np.array(next((c for c in classes if best in c), (best,)))
+    return first + members[np.argmax(util[:, members], axis=1)] + 1
 
 
 def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearProgram:
@@ -100,19 +128,140 @@ def obedient_strategy(num_locations: int) -> CustomerStrategy:
     )
 
 
+class Orbits(NamedTuple):
+    """Orbits of the system's obedience LP under permutations within location classes.
+
+    Orbits are numbered in the order of their keys (see
+    :func:`lp_orbits`).  ``multiplicity[o]`` is the number of columns of
+    orbit o at each state of its state orbit ``groups[o]``.
+    """
+
+    columns: np.ndarray       # (S (K+1),) the orbit of every column
+    multiplicity: np.ndarray  # (orbits,)
+    groups: np.ndarray        # (orbits,) the state orbit of every orbit
+    states: np.ndarray        # (state orbits,) one state of every state orbit
+    rows: np.ndarray          # the first matrix row of every row orbit, in row order
+
+
+def _number(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids 0, 1, ... of the distinct ``keys`` (integers below ``size``) in key
+    order, and those distinct keys."""
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    return np.cumsum(present)[keys] - 1, np.flatnonzero(present)
+
+
+def lp_orbits(system: SystemModel) -> Orbits:
+    """Orbits of :func:`build_centralized_lp`'s columns, groups and rows.
+
+    A permutation of locations within their classes maps state w to the
+    state in which the permuted locations hold w's states, and action
+    a >= 1 to the permuted location.  So a state orbit is keyed by its
+    state with each class's members sorted by state (one of its states),
+    the orbit of (w, 0) is w's state orbit with leave, and the orbit of
+    (w, a) for a >= 1 is (state orbit, class of a, state of a at w).
+    Deviation rows (k, l), and join or leave rows k, are in one orbit
+    when their locations' classes agree.  With no two locations alike
+    every orbit is a single column, state or row, numbered as the LP
+    numbers them.
+    """
+    classes = system.location_classes
+    num_locs = system.num_locations
+    num_states = system.state_count
+    if len(classes) == num_locs:
+        # The identity, without the array work below, which costs about
+        # 0.2-0.4 ms: as much as a whole solve of a small LP.
+        columns = np.arange(num_states * (num_locs + 1))
+        return Orbits(
+            columns,
+            np.ones(columns.size, dtype=int),
+            columns // (num_locs + 1),
+            np.arange(num_states),
+            np.arange(num_locs * (num_locs + 1)),
+        )
+    class_of = [0] * num_locs
+    for c, members in enumerate(classes):
+        for k in members:
+            class_of[k] = c
+
+    index = system.state_index_matrix
+    canonical = index.copy()
+    for members in classes:
+        canonical[:, members] = np.sort(index[:, members], axis=1)
+    strides = np.cumprod((1,) + system.state_sizes[:-1])
+    state_orbit, states = _number(canonical @ strides, num_states)
+
+    # Column keys: the state orbit, then the action kind, which is 0 for
+    # leave and one more than (class, state) for a location.
+    most = max(system.state_sizes)
+    num_kinds = 1 + len(classes) * most
+    keys = np.zeros((num_states, num_locs + 1), dtype=int)
+    np.add(index, np.array(class_of) * most + 1, out=keys[:, 1:])
+    keys += state_orbit[:, None] * num_kinds
+    columns, orbit_keys = _number(keys.reshape(-1), states.size * num_kinds)
+    groups = orbit_keys // num_kinds
+    multiplicity = np.bincount(columns) // np.bincount(state_orbit)[groups]
+
+    row_keys = [("deviation", class_of[k], class_of[l])
+                for k in range(num_locs) for l in range(num_locs) if l != k]
+    row_keys += [("join", c) for c in class_of]
+    row_keys += [("leave", c) for c in class_of]
+    firsts: dict = {}
+    rows = [r for r, key in enumerate(row_keys) if firsts.setdefault(key, r) == r]
+    return Orbits(columns, multiplicity, groups, states, np.array(rows, dtype=int))
+
+
+def orbit_lp(lp: LinearProgram, orbits: Orbits) -> LinearProgram:
+    """The obedience LP ``lp`` over ``orbits``: one column per orbit.
+
+    Orbit o's column y_o stands for x = y_o / multiplicity[o] on each of
+    its members, so the columns of a state orbit sum to 1 and form its
+    group.  Its objective entry and its entry in each row orbit's first
+    row are the sums over its members divided by its multiplicity.  A
+    point constant on orbits meets every row of an orbit as it meets
+    the first, so this LP and the full LP have the same optimum.  With
+    every orbit a single column the orbit LP is ``lp`` itself.
+    """
+    if orbits.multiplicity.size == lp.n_vars:
+        return lp  # every orbit is a single column, so also a single row
+    order = np.argsort(orbits.columns, kind="stable")  # the members of orbit 0, 1, ...
+    sizes = np.bincount(orbits.columns)
+    starts = np.cumsum(sizes) - sizes
+
+    def orbit_sums(values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values.take(order, axis=-1), starts, axis=-1) / orbits.multiplicity
+
+    rows = orbits.rows
+    return LinearProgram(
+        orbit_sums(lp.objective),
+        orbit_sums(lp.matrix[rows]),
+        lp.relations[rows],
+        lp.rhs[rows],
+        orbits.groups,
+    )
+
+
 def solve_centralized(
     system: SystemModel, weighted: bool = False
 ) -> tuple[CentralizedMechanism, EvaluationReport]:
     """Optimal direct mechanism and its evaluation under obedience.
 
-    The simplex starts from the uninformative recommendation (see
-    :func:`uninformative_basis`), which is always feasible.  The report's
-    throughput (unweighted) or value (weighted) matches the LP optimum.
+    Builds the full LP, solves it over orbits of interchangeable
+    locations (:func:`orbit_lp`) and spreads each orbit's value evenly
+    over its members.  The simplex starts from the uninformative
+    recommendation made symmetric (see :func:`uninformative_start`),
+    which is always feasible.  The report's throughput (unweighted) or
+    value (weighted) matches the LP optimum.
     """
     lp = build_centralized_lp(system, weighted)
-    solution = solve(lp, uninformative_basis(system))
+    orbits = lp_orbits(system)
+    start = uninformative_start(
+        system.joint_vector, system.utility_matrix, system.location_classes
+    )
+    solution = solve(orbit_lp(lp, orbits), orbits.columns[start[orbits.states]])
+    x = (np.asarray(solution.x) / orbits.multiplicity)[orbits.columns]
     num_actions = system.num_locations + 1
-    table = np.asarray(solution.x).reshape(system.state_count, num_actions)
+    table = x.reshape(system.state_count, num_actions)
     mech = CentralizedMechanism(tuple(range(num_actions)), table)
     report = oracle.evaluate(system, mech, obedient_strategy(system.num_locations))
     return mech, report

@@ -39,15 +39,16 @@ from .model import (
 )
 
 # Largest K for which sweep runs the centralized LP on the correlated
-# generator.  On a 2-vCPU VM `sweep correlated --K 2..7` runs in about
-# 0.25 s with a 56 MiB peak (K=7: 2187 states, 17496 variables).  Memory
-# no longer sets the cap: K=8 (59049 variables, a 73 x 59122 tableau)
-# solves at penalty 1000 in about 0.3 s at 110 MiB.  But K=8 ends on an
-# infeasible final basis (SolverError) at 6 of 25 penalties spaced
-# evenly in log from 10 to 1e7, after pivots on elements just above
-# lp.PIVOT_TOL.  On the same grid K=2..7 go wrong at 12 of 150 (K,
-# penalty) pairs, 9 of them at penalties of 1e6 and above.
-LP_SIZE_CAP = 7
+# generator.  The K locations are interchangeable, so the LP is solved
+# over orbits (centralized.orbit_lp): 153 columns and 3 rows at K=8
+# instead of 59049 columns and 72 rows.  `sweep correlated --K 2..8`
+# runs in about 0.3 s with a 71 MiB peak (2-vCPU x86 VM, fresh
+# interpreter), and K=8 gives Th = 1 within 1e-9 at all 25 penalties
+# spaced evenly in log from 10 to 1e7.  K=9 solves too (about 0.1 s per
+# penalty), but the full LP that is built before the reduction has a
+# 90 x 196830 matrix (142 MB) there, and it and the generator's dense
+# 3^K joint prior grow more than threefold with each K.
+LP_SIZE_CAP = 8
 
 
 def _fail(message: str, code: int) -> None:

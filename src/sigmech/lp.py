@@ -33,9 +33,10 @@ smallest basic column index, keys included.  A pivot updates only the
 tableau rows with a nonzero entry in the pivot column.  If the
 normalized pivot row is sparse (nonzeros below SPARSE_ROW of the
 tableau width) it updates only the columns where that row is nonzero;
-otherwise it updates the touched rows across their full width.  Both
-apply the same operation to every element that changes, so the tableau
-and the pivot path do not depend on which one runs.
+otherwise it updates the touched rows across their full width, or the
+whole tableau in place when at least half its rows are touched.  All
+three apply the same operation to every element that changes, so the
+tableau and the pivot path do not depend on which one runs.
 
 One way in: ``solve(lp, basis)`` starts from a basis the caller knows
 to be feasible.  ``basis`` names one member column per group, in group
@@ -283,7 +284,8 @@ class _Tableau:
         Rows with a zero pivot-column entry, and columns with a zero
         pivot-row entry, would be updated by exactly 0, so skipping them
         gives the same tableau as the dense update.  Columns are skipped
-        only for a sparse pivot row (see SPARSE_ROW).
+        only for a sparse pivot row (see SPARSE_ROW); rows only when
+        fewer than half of them are touched.
         """
         T = self.T
         pivot_row = T[row]
@@ -296,6 +298,13 @@ class _Tableau:
             if cols.size < SPARSE_ROW * pivot_row.size:
                 block = (rows * pivot_row.size)[:, None] + cols
                 self._flat[block] -= column[rows, None] * pivot_row[cols]
+            elif 2 * rows.size >= T.shape[0]:
+                # Update the whole tableau in place rather than gather the
+                # touched rows, update the copy and scatter it back; the
+                # other rows lose exactly 0.
+                factor = column.copy()
+                factor[row] = 0.0
+                T -= np.multiply.outer(factor, pivot_row)
             else:
                 T[rows] -= column[rows, None] * pivot_row
         column[:] = 0.0

@@ -68,10 +68,17 @@ def joint_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def _kron_chain(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product with the first block's indices varying fastest."""
+    """Kronecker product with the first block's indices varying fastest.
+
+    Each step is ``np.kron(block, out)``, written as an outer product with
+    its axes interleaved: the same products at a fraction of the overhead.
+    """
     out = np.ones((1,) * blocks[0].ndim) if blocks else np.ones(1)
     for block in blocks:
-        out = np.kron(block, out)
+        nd = block.ndim
+        interleaved = [axis for pair in zip(range(nd), range(nd, 2 * nd)) for axis in pair]
+        shape = [a * b for a, b in zip(block.shape, out.shape)]
+        out = np.multiply.outer(block, out).transpose(interleaved).reshape(shape)
     return out
 
 
@@ -179,9 +186,47 @@ class SystemModel:
     @cached_property
     def state_index_matrix(self) -> np.ndarray:
         """(state_count, K) int matrix of per-location state indices."""
-        mat = np.array(list(joint_tuples(self.state_sizes)), dtype=int)
+        sizes = np.array(self.state_sizes)
+        strides = np.cumprod(np.concatenate([[1], sizes[:-1]]))
+        mat = np.arange(self.state_count)[:, None] // strides % sizes
         mat.flags.writeable = False
         return mat
+
+    @cached_property
+    def location_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes of interchangeable locations, each in increasing order.
+
+        Two locations are interchangeable when their states, prior,
+        utility and payoff are equal and, on a joint prior, swapping them
+        leaves ``joint_vector`` exactly unchanged.  A location joins the
+        first class whose last member it is interchangeable with, so
+        every class's joint prior is invariant under its adjacent swaps,
+        which generate all permutations of the class.  Classes are
+        ordered by their first member; with no two locations alike every
+        class is a singleton.
+        """
+        tensor = None
+        if self.joint is not None:
+            tensor = self.joint_vector.reshape(self.state_sizes[::-1])
+        last_axis = self.num_locations - 1  # location k is tensor axis last_axis - k
+
+        def alike(k: int, other: int) -> bool:
+            a, b = self.locations[k], self.locations[other]
+            if (a.states, a.prior, a.utility, a.payoff) != (b.states, b.prior, b.utility, b.payoff):
+                return False
+            if tensor is None:
+                return True
+            swapped = np.swapaxes(tensor, last_axis - k, last_axis - other)
+            return bool(np.array_equal(tensor, swapped))
+
+        classes: list[list[int]] = []
+        for k in range(self.num_locations):
+            home = next((members for members in classes if alike(members[-1], k)), None)
+            if home is None:
+                classes.append([k])
+            else:
+                home.append(k)
+        return tuple(tuple(members) for members in classes)
 
     @cached_property
     def utility_matrix(self) -> np.ndarray:

@@ -14,14 +14,17 @@ from sigmech.bounds import make_correlated_instance, make_tightness_instance
 import sigmech
 from sigmech.centralized import (
     build_centralized_lp,
+    lp_orbits,
     obedient_strategy,
+    orbit_lp,
     solve_centralized,
     uninformative_basis,
+    uninformative_start,
 )
 from sigmech.decentralized import compose_optimal
 from sigmech.instances import random_independent_system, random_joint_system
-from sigmech.lp import GREATER, LESS, violation_at
-from sigmech.model import LocationModel, SystemModel
+from sigmech.lp import FEAS_TOL, GREATER, LESS, solve, violation_at
+from sigmech.model import LocationModel, SystemModel, joint_tuples
 from sigmech.oracle import best_response, evaluate, full_information, no_information
 
 
@@ -257,20 +260,54 @@ def test_former_k6_stall_instance_solves_to_decentralized_optimum():
     assert abs(central.throughput - dec.throughput) <= 1e-7
 
 
+def _full_lp_optimum(system: SystemModel) -> float:
+    """The optimum of the full obedience LP, solved without the orbit reduction."""
+    return solve(build_centralized_lp(system), uninformative_basis(system)).objective_value
+
+
 def test_correlated_k7_solves_to_full_throughput():
     # A ratio test that let a row above the minimum ratio leave the basis
     # drove a basic value to -0.00114 on this instance.
-    _, report = solve_centralized(make_correlated_instance(7, 1000.0))
-    assert abs(report.throughput - 1.0) <= 1e-9
+    assert abs(_full_lp_optimum(make_correlated_instance(7, 1000.0)) - 1.0) <= 1e-9
 
 
 def test_correlated_k8_solves_to_full_throughput():
     # 6561 states and 59049 variables.  A tableau holding the group rows
     # would need about 3 GB for it; the groups' key columns keep it at 73
-    # rows.  Sweep still stops at K=7 (cli.LP_SIZE_CAP): other penalties
-    # end on a solver error at K=8.
-    _, report = solve_centralized(make_correlated_instance(8, 1000.0))
-    assert abs(report.throughput - 1.0) <= 1e-9
+    # rows.  Other penalties end on a solver error in the full LP at K=8;
+    # solve_centralized solves them over orbits.
+    assert abs(_full_lp_optimum(make_correlated_instance(8, 1000.0)) - 1.0) <= 1e-9
+
+
+def test_correlated_penalties_where_the_full_lp_fails_solve_over_orbits():
+    # On this grid the full LP ends on an infeasible basis or more than
+    # 1e-9 short of 1 at 3 penalties for K=5, 10 for K=7 and 5 for K=8.
+    # Sweep solves K=8 (cli.LP_SIZE_CAP) at any penalty above 8.
+    grid = np.logspace(1, 7, 25)  # 25 penalties spaced evenly in log, 10 to 1e7
+    for k, penalty in itertools.product((5, 7, 8), grid):
+        _, report = solve_centralized(make_correlated_instance(k, penalty))
+        assert abs(report.throughput - 1.0) <= 1e-9, (k, penalty)
+
+
+def test_orbit_lp_equals_the_full_lp_on_generator_instances():
+    for k in range(2, 7):
+        systems = [make_tightness_instance(k, x).system for x in (10.0, 1000.0)]
+        systems += [make_correlated_instance(k, x) for x in (k + 1.0, 1000.0)]
+        for system in systems:
+            _, report = solve_centralized(system)
+            assert abs(report.throughput - _full_lp_optimum(system)) <= 1e-9
+
+
+def test_identical_locations_give_three_rows_and_one_column_per_orbit():
+    system = make_tightness_instance(9, 10.0).system
+    orbits = lp_orbits(system)
+    reduced = orbit_lp(build_centralized_lp(system), orbits)
+    # Good-location counts 0..9: leave at each, one recommendation at the
+    # counts 0 and 9, and a good and a bad one at the 8 counts between.
+    assert reduced.num_groups == 10
+    assert reduced.n_vars == 10 + 2 + 2 * 8
+    assert orbits.rows.tolist() == [0, 72, 81]  # deviation (1, 2), join 1, leave 1
+    assert np.bincount(orbits.columns).sum() == system.state_count * 10
 
 
 def test_tightness_k10_large_scale_reaches_full_throughput():
@@ -350,3 +387,120 @@ def test_index_arithmetic_build_equals_row_by_row_build(kind):
         assert lp.relations.tolist() == relations
         assert lp.rhs.tolist() == rhs
         assert np.array_equal(lp.groups, groups)
+
+
+def _symmetric_system(seed: int, joint: bool, payoffs: bool) -> tuple[SystemModel, list]:
+    """Random system whose locations form classes of 1-3 identical ones, at
+    least one class of 2-3, shuffled; with ``joint`` its prior is an explicit
+    table that is exactly constant on orbits of states and zero on some of
+    them.  Returns the system and its expected classes.
+
+    Prior weights are drawn from [0.2, 1] and utilities on a 0.01 grid:
+    HiGHS drops constraint coefficients below 1e-9, and state masses near
+    that made it report optima up to 5e-6 above the true one."""
+    rng = np.random.default_rng(seed)
+    sizes = [int(rng.integers(2, 4))]
+    while sum(sizes) < 5 and rng.random() < 0.6:
+        sizes.append(int(rng.integers(1, 6 - sum(sizes))))
+    order = rng.permutation(sum(sizes))
+    owner = np.repeat(np.arange(len(sizes)), sizes)[order]  # class of each location
+    kinds = []
+    for _ in sizes:
+        n = int(rng.integers(2, 4))
+        utility = rng.integers(-200, 201, n) / 100.0
+        utility[int(rng.integers(n))] = rng.integers(0, 201) / 100.0
+        raw = rng.uniform(0.2, 1.0, n)
+        payoff = float(rng.uniform(0.5, 2.0)) if payoffs else 1.0
+        kinds.append((n, tuple(raw / raw.sum()), tuple(utility), payoff))
+    state_sizes = [kinds[c][0] for c in owner]
+    table = None
+    if joint:
+        index = np.array(list(joint_tuples(state_sizes)))
+        canonical = index.copy()
+        for c in range(len(sizes)):
+            members = np.flatnonzero(owner == c)
+            canonical[:, members] = np.sort(index[:, members], axis=1)
+        _, orbit = np.unique(canonical, axis=0, return_inverse=True)
+        weights = rng.uniform(0.2, 1.0, orbit.max() + 1) * (rng.random(orbit.max() + 1) < 0.7)
+        weights[orbit[0]] += 0.1  # not all zero
+        raw = weights[orbit.reshape(-1)]
+        table = raw / raw.sum()
+        for c in range(len(sizes)):
+            marginal = np.zeros(kinds[c][0])
+            np.add.at(marginal, index[:, np.flatnonzero(owner == c)[0]], table)
+            kinds[c] = (kinds[c][0], tuple(marginal), *kinds[c][2:])
+    locations = tuple(
+        LocationModel(f"loc{k + 1}", tuple(f"s{i}" for i in range(kinds[c][0])), *kinds[c][1:])
+        for k, c in enumerate(owner)
+    )
+    classes = sorted(tuple(np.flatnonzero(owner == c).tolist()) for c in range(len(sizes)))
+    return SystemModel(locations, None if table is None else tuple(table)), classes
+
+
+def _swap_permutations(system: SystemModel):
+    """(state map, action map) of each swap of adjacent members of a class."""
+    index = system.state_index_matrix
+    strides = np.cumprod((1,) + system.state_sizes[:-1])
+    for members in system.location_classes:
+        for k, l in zip(members, members[1:]):
+            swapped = index.copy()
+            swapped[:, [k, l]] = index[:, [l, k]]
+            actions = np.arange(system.num_locations + 1)
+            actions[[k + 1, l + 1]] = [l + 1, k + 1]
+            yield swapped @ strides, actions
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    joint=st.booleans(),
+    payoffs=st.booleans(),
+    weighted=st.booleans(),
+)
+def test_orbit_lp_matches_the_full_lp_and_highs(seed, joint, payoffs, weighted):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    system, classes = _symmetric_system(seed, joint, payoffs)
+    assert sorted(system.location_classes) == classes
+    lp = build_centralized_lp(system, weighted)
+    mech, report = solve_centralized(system, weighted)
+    value = report.value if weighted else report.throughput
+
+    full = solve(lp, uninformative_basis(system)).objective_value
+    groups = np.arange(lp.num_groups)[:, None] == lp.groups
+    reference = linprog(
+        -lp.objective,
+        A_ub=lp.matrix * lp.senses[:, None],
+        b_ub=lp.rhs * lp.senses,
+        A_eq=groups.astype(float),
+        b_eq=np.ones(lp.num_groups),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert reference.status == 0
+    assert abs(value - full) <= 1e-9
+    assert abs(value + reference.fun) <= 1e-9
+
+    table = mech.table
+    assert violation_at(lp, table.reshape(-1)) <= FEAS_TOL
+    for states, actions in _swap_permutations(system):
+        assert np.array_equal(table[states][:, actions], table)  # constant on orbits
+
+
+def test_orbit_lp_of_an_asymmetric_system_is_the_full_lp():
+    for kind, seed in itertools.product(("independent", "joint", "weighted"), range(5)):
+        system = _random_system(seed, kind)
+        assert all(len(members) == 1 for members in system.location_classes)
+        weighted = kind == "weighted"
+        lp = build_centralized_lp(system, weighted)
+        orbits = lp_orbits(system)
+        assert orbit_lp(lp, orbits) is lp
+        start = uninformative_start(
+            system.joint_vector, system.utility_matrix, system.location_classes
+        )
+        assert np.array_equal(orbits.columns[start[orbits.states]], uninformative_basis(system))
+        mech, _ = solve_centralized(system, weighted)
+        x = solve(lp, uninformative_basis(system)).x
+        expected = np.asarray(x).reshape(mech.table.shape)
+        expected[(expected < 0.0) & (expected >= -1e-12)] = 0.0  # as the mechanism clamps
+        assert mech.table.tobytes() == expected.tobytes()

@@ -252,6 +252,15 @@ def test_sweep_tightness_solves_k2_to_k10(runner):
         assert float(row["Th_D"]) == pytest.approx(inst.predicted_decentralized, abs=1e-8)
 
 
+def test_sweep_tightness_k10_at_x10_prints_full_throughput(runner):
+    # The full LP stopped 1.6e-9 short here (states of probability 5.9e-21
+    # give reduced costs below lp.OPT_TOL); the orbit LP's 11 state orbits do not.
+    result = runner.invoke(main, ["sweep", "tightness", "--K", "10..10", "--X", "10"])
+    assert result.exit_code == 0
+    row = next(csv.DictReader(io.StringIO(result.output)))
+    assert row["Th"] == "1"
+
+
 def test_sweep_pair_row_constants(runner):
     result = runner.invoke(main, ["sweep", "correlated", "--K", "2..2", "--X", "10"])
     row = next(csv.DictReader(io.StringIO(result.output)))
@@ -261,10 +270,10 @@ def test_sweep_pair_row_constants(runner):
 
 
 def test_sweep_correlated_bounds_only_for_large_k(runner):
-    result = runner.invoke(main, ["sweep", "correlated", "--K", "2..8", "--X", "10"])
+    result = runner.invoke(main, ["sweep", "correlated", "--K", "2..9", "--X", "10"])
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.output)))
-    assert len(rows) == 7
+    assert len(rows) == 8
     for row in rows:
         k = int(row["K"])
         assert float(row["correlated_upper_bound"]) > float(row["one_over_K"])

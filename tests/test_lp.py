@@ -284,14 +284,18 @@ def test_malformed_groups_rejected():
 
 
 def _tableau_cases(rng):
-    """Dense-row cases (12 columns, 60% zeros), then pivot rows below the
+    """Dense-row cases (12 columns, 60% zeros), the same with every row
+    touched (a pivot column without zeros), then pivot rows below the
     SPARSE_ROW cut (40 columns, 3 nonzeros in the pivot row)."""
-    for _ in range(20):
-        body = rng.uniform(-2.0, 2.0, (9, 12))
-        body[rng.uniform(size=body.shape) < 0.6] = 0.0
-        row, col = int(rng.integers(0, 8)), int(rng.integers(0, 11))
-        body[row, col] = rng.uniform(0.5, 2.0)
-        yield body, row, col
+    for touch_all in (False, True):
+        for _ in range(20):
+            body = rng.uniform(-2.0, 2.0, (9, 12))
+            body[rng.uniform(size=body.shape) < 0.6] = 0.0
+            row, col = int(rng.integers(0, 8)), int(rng.integers(0, 11))
+            if touch_all:
+                body[:, col] = rng.uniform(0.5, 2.0, 9)
+            body[row, col] = rng.uniform(0.5, 2.0)
+            yield body, row, col
     for _ in range(20):
         body = rng.uniform(-2.0, 2.0, (9, 40))
         body[rng.uniform(size=body.shape) < 0.5] = 0.0

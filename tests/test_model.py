@@ -140,6 +140,39 @@ def test_independent_joint_vector_sums_to_one(priors):
     assert abs(float(vec.sum()) - 1.0) <= 1e-9 * system.state_count
     for flat, idx in enumerate(joint_tuples(system.state_sizes)):
         assert vec[flat] == pytest.approx(joint_prior(system, idx), abs=1e-15)
+    assert system.state_index_matrix.tolist() == [list(t) for t in joint_tuples(system.state_sizes)]
+
+
+def test_kron_chain_equals_numpy_kron_bit_for_bit():
+    from sigmech.model import _kron_chain
+
+    rng = np.random.default_rng(7)
+    for ndim in (1, 2):
+        for count in (1, 2, 3, 5):
+            blocks = [rng.uniform(size=tuple(rng.integers(1, 4, ndim))) for _ in range(count)]
+            expected = np.ones((1,) * ndim)
+            for block in blocks:
+                expected = np.kron(block, expected)
+            got = _kron_chain(blocks)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_location_classes_group_interchangeable_locations():
+    bad_good = LocationModel("a", ("bad", "good"), (0.7, 0.3), (-1.0, 2.0))
+    renamed = LocationModel("b", ("bad", "good"), (0.7, 0.3), (-1.0, 2.0))
+    richer = LocationModel("c", ("bad", "good"), (0.7, 0.3), (-1.0, 2.0), payoff=2.0)
+    system = SystemModel((bad_good, richer, renamed, bad_good))
+    assert system.location_classes == ((0, 2, 3), (1,))
+    assert make_tightness_instance(4, 10.0).system.location_classes == ((0, 1, 2, 3),)
+    assert make_correlated_instance(3, 8.0).location_classes == ((0, 1, 2),)
+    # Equal marginals, and the joint prior changes when the two are swapped.
+    third = LocationModel("d", ("s0", "s1", "s2"), (0.3, 0.3, 0.4), (-1.0, 0.5, 1.0))
+    cyclic = (0.2, 0.0, 0.1, 0.1, 0.2, 0.0, 0.0, 0.1, 0.3)  # location 1 fastest
+    skewed = SystemModel((third, third), joint=cyclic)
+    assert validate(skewed) == []
+    assert skewed.location_classes == ((0,), (1,))
+    even = SystemModel((bad_good, renamed), joint=(0.45, 0.25, 0.25, 0.05))
+    assert even.location_classes == ((0, 1),)
 
 
 def test_mechanism_tables_are_immutable():
