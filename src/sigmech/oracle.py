@@ -7,11 +7,17 @@ with no sampling, so these are the ground truth the solvers are tested
 against.  A decentralized mechanism is handled in product form, one
 location's table at a time, so its joint table over states x signals is
 never built; a centralized mechanism's table is used as given.
+
+The grid search scores one joint signal per candidate, not 2^K.  The
+customer acts on posteriors, not on signal names, so relabeling a
+location's two signals leaves a mechanism's throughput unchanged.  On a
+grid closed under v -> 1 - v that relabeling is a mirror of the
+location's grid index, so the all-ones signal's contributions, summed
+over the 2^K mirror images of each candidate, give its full score.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -36,8 +42,10 @@ from .model import (
 TIE_TOL = 1e-9
 # Parameter-count guard for the grid search.
 GRID_PARAM_LIMIT = 8
-# Grid candidates scored per block.  A block's float arrays (128 KiB each)
-# stay in cache: 2^14 was the fastest of 2^13..2^18 on a 2-vCPU x86 VM.
+# Grid candidates scored per block, unless one location-1 grid times the
+# 2^(K-1) mirror images of an orbit is larger.  A block's float arrays
+# (128 KiB each) stay in cache: with mirror-orbit blocks 2^14 and 2^15
+# tied as the fastest of 2^13..2^18 on a 2-vCPU x86 VM (BENCH_grid_fold.json).
 _BATCH = 1 << 14
 
 Mechanism = CentralizedMechanism | DecentralizedMechanism
@@ -237,6 +245,111 @@ def _location_combos(values: np.ndarray, num_states: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, num_states)
 
 
+def _obedient_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, int]:
+    """Top score of the obedience filter and its first candidate number.
+
+    Blocks are runs of consecutive candidates: every location-1 grid
+    point against a run of the other locations' grid points.
+    """
+    counts = [c.shape[0] for c in combos]
+    head = counts[0]
+    terms = [obedience_terms(loc, 1.0 - c, c) for loc, c in zip(system.locations, combos)]
+    rest_total = math.prod(counts[1:])
+    best_value, best_flat = -math.inf, 0
+    batch = max(1, _BATCH // head)
+    for start in range(0, rest_total, batch):
+        rem = np.arange(start, min(start + batch, rest_total))
+        rows = [np.tile(np.arange(head), rem.size)]
+        for count in counts[1:]:
+            rows.append(np.repeat(rem % count, head))
+            rem = rem // count
+        cond_i, cond_ii = obedience_conditions(terms, rows)
+        miss = np.ones(rows[0].size)
+        for t, r in zip(terms, rows):
+            miss *= t.zero_mass[r]
+        scores = np.where(cond_ii | cond_i.any(axis=0), 1.0 - miss, -math.inf)
+        arg = int(np.argmax(scores))
+        if scores[arg] > best_value:
+            best_value, best_flat = float(scores[arg]), start * head + arg
+    return best_value, best_flat
+
+
+def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, int]:
+    """Top best-response score and its first candidate number.
+
+    Only the all-ones joint signal is scored.  Signal u's contribution at
+    candidate c is the all-ones contribution at c with every location
+    where u_k = 0 mirrored (combo index i -> count - 1 - i), so one
+    reversed add per location axis sums all 2^K signals.  A block holds
+    orbit representatives (every other location's combo index in its
+    lower half, middle included), their 2^(K-1) mirrors and every
+    location-1 grid point.
+    """
+    sizes = system.state_sizes
+    num_locs = system.num_locations
+    counts = [c.shape[0] for c in combos]
+    head = counts[0]
+    # weights[r, (a, w_1)] is the mass [mu; mu*u_1; ...; mu*u_K][a] of the
+    # state with location-1 index w_1 and other-locations index r.
+    weights = system.joint_vector[:, None] * np.column_stack(
+        [np.ones(system.state_count), system.utility_matrix]
+    )
+    weights = weights.reshape(-1, sizes[0], num_locs + 1).transpose(0, 2, 1)
+    weights = weights.reshape(-1, (num_locs + 1) * sizes[0])
+    always_join_on_tie = min(system.payoffs) > 0.0
+
+    halves = [(count + 1) // 2 for count in counts[1:]]
+    mirrors = 1 << (num_locs - 1)
+    # mirrored[m, k - 1]: location k is mirrored in mirror pattern m.
+    mirrored = ((np.arange(mirrors)[:, None] >> np.arange(num_locs - 1)) & 1).astype(bool)
+    strides = np.cumprod([1] + counts[:-1])
+    reps_total = math.prod(halves)
+    best_value, best_flat = -math.inf, 0
+    batch = max(1, _BATCH // (mirrors * head))
+    for start in range(0, reps_total, batch):
+        rem = np.arange(start, min(start + batch, reps_total))
+        size = rem.size * mirrors
+        # sig[i, r]: chance that row i's other locations all send 1 in state r;
+        # rest[i]: row i's candidate number with location 1 at grid point 0.
+        sig = np.ones((size, 1))
+        rest = np.zeros(size, dtype=np.int64)
+        for k in range(1, num_locs):
+            low = rem % halves[k - 1]
+            rem = rem // halves[k - 1]
+            index = np.where(mirrored[:, k - 1], counts[k] - 1 - low[:, None], low[:, None]).ravel()
+            rest += index * strides[k]
+            sig = (combos[k][index][:, :, None] * sig[:, None, :]).reshape(size, -1)
+        # rest_mass[(a, i), w_1]: row i's mass a with location 1 at w_1.
+        rest_mass = (sig @ weights).reshape(size, num_locs + 1, -1)
+        rest_mass = rest_mass.transpose(1, 0, 2).reshape(-1, sizes[0])
+        mass = (rest_mass @ combos[0].T).reshape(num_locs + 1, size, head)
+        prob, wins = mass[0], mass[1:]
+        valid = prob > ZERO_MASS
+        if always_join_on_tie:
+            # With every payoff positive, the system-favoring best response
+            # joins exactly when some location's posterior clears the tie
+            # tolerance.
+            joins = wins.max(axis=0) >= -TIE_TOL * prob
+        else:
+            utilities = np.concatenate(
+                [np.zeros((1,) + prob.shape), wins / np.where(valid, prob, 1.0)]
+            )
+            joins = _system_choice(utilities, system.payoffs) != 0
+        scores = np.where(valid & joins, prob, 0.0)
+        scores = scores.reshape((-1,) + (2,) * (num_locs - 1) + (head,))
+        for axis in range(1, scores.ndim):
+            scores = scores + np.flip(scores, axis)
+        # The folded scores are exactly equal across each mirror orbit, and
+        # blocks take the representatives in candidate order, so the first
+        # block that reaches the top holds the first best-scoring candidate.
+        scores = scores.reshape(size, head)
+        top = scores.max()
+        if top > best_value:
+            rows, heads = np.nonzero(scores == top)
+            best_value, best_flat = float(top), int((rest[rows] + heads).min())
+    return best_value, best_flat
+
+
 def grid_search_decentralized(
     system: SystemModel,
     resolution: float,
@@ -245,16 +358,23 @@ def grid_search_decentralized(
 ) -> tuple[DecentralizedMechanism, float]:
     """Enumerate binary-signal decentralized mechanisms on a parameter grid.
 
-    Every sigma_k(1|w_k) ranges over {0, resolution, ..., 1}.  By default
-    each candidate is scored by best response plus exact evaluation, so
-    the result is a lower bound on the optimal decentralized throughput.
-    With ``obedient_only`` (independent priors only) candidates are
-    filtered to those admitting an optimal join-on-1 strategy and scored
-    by the closed-form product throughput.
+    Every sigma_k(1|w_k) ranges over {0, resolution, ..., 1}; 1/resolution
+    must be an integer (within 1e-9), so the grid is closed under
+    v -> 1 - v.  By default each candidate is scored by best response plus
+    exact evaluation, so the result is a lower bound on the optimal
+    decentralized throughput.  The customer acts on posteriors, not on
+    signal names, so signal u's contribution at a candidate is the
+    all-ones signal's contribution at the candidate with every location
+    where u_k = 0 mirrored (sigma_k -> 1 - sigma_k); only the all-ones
+    signal is scored, and the 2^K relabelings are summed by one reversed
+    add per location.  With ``obedient_only`` (independent priors only)
+    candidates are filtered to those admitting an optimal join-on-1
+    strategy and scored by the closed-form product throughput.
 
-    Candidates are numbered with location 1's grid point fastest and the
-    first best-scoring one wins.  Scoring runs in blocks of the other
-    locations' grid points, against every location-1 grid point at once.
+    Candidates are numbered with location 1's grid point fastest (each
+    location's grid points in ``itertools.product`` order of its states),
+    and the candidate with the smallest number among those scoring
+    exactly the top score wins.
     """
     require_valid(system)
     sizes = system.state_sizes
@@ -265,82 +385,18 @@ def grid_search_decentralized(
         )
     if obedient_only and system.prior_mode != "independent":
         raise InputError("the obedience filter applies to independent priors only")
-
     values = _grid_values(resolution)
-    num_locs = system.num_locations
-    combos = [_location_combos(values, n) for n in sizes]
-    counts = [c.shape[0] for c in combos]
-    head = counts[0]
-    rest_total = math.prod(counts[1:])
-
-    if obedient_only:
-        terms = [obedience_terms(loc, 1.0 - c, c) for loc, c in zip(system.locations, combos)]
-    else:
-        # weights[r, (a, w_1)] is the mass [mu; mu*u_1; ...; mu*u_K][a] of the
-        # state with location-1 index w_1 and other-locations index r.
-        weights = system.joint_vector[:, None] * np.column_stack(
-            [np.ones(system.state_count), system.utility_matrix]
+    steps = 1.0 / resolution
+    if abs(steps - round(steps)) >= 1e-9:
+        raise InputError(
+            f"grid search needs 1/resolution to be an integer, got resolution {resolution}"
         )
-        weights = weights.reshape(-1, sizes[0], num_locs + 1).transpose(0, 2, 1)
-        weights = weights.reshape(-1, (num_locs + 1) * sizes[0])
-        head_signal = (1.0 - combos[0], combos[0])  # (head, n_1) per signal of location 1
-        always_join_on_tie = min(system.payoffs) > 0.0
 
-    best_value = -math.inf
-    best_flat = 0
-    batch = max(1, _BATCH // head)
-    for start in range(0, rest_total, batch):
-        block = np.arange(start, min(start + batch, rest_total))
-        rows = [np.arange(head)]
-        rem = block
-        for k in range(1, num_locs):
-            rows.append(rem % counts[k])
-            rem = rem // counts[k]
+    combos = [_location_combos(values, n) for n in sizes]
+    best_value, best_flat = (_obedient_best if obedient_only else _folded_best)(system, combos)
 
-        if obedient_only:
-            rows = [np.tile(rows[0], block.size)] + [np.repeat(r, head) for r in rows[1:]]
-            cond_i, cond_ii = obedience_conditions(terms, rows)
-            miss = np.ones(rows[0].size)
-            for t, r in zip(terms, rows):
-                miss *= t.zero_mass[r]
-            scores = np.where(cond_ii | cond_i.any(axis=0), 1.0 - miss, -math.inf)
-        else:
-            scores = np.zeros((block.size, head))
-            rest_signal = [(1.0 - combos[k][rows[k]], combos[k][rows[k]])
-                           for k in range(1, num_locs)]
-            for u_rest in itertools.product((0, 1), repeat=num_locs - 1):
-                # sig[i, r]: chance that block row i's other locations send u_rest in r.
-                sig = np.ones((block.size, 1))
-                for q, u in zip(rest_signal, u_rest):
-                    sig = (q[u][:, :, None] * sig[:, None, :]).reshape(block.size, -1)
-                # rest_mass[(a, i), w_1]: block row i's mass a with location 1 at w_1.
-                rest_mass = (sig @ weights).reshape(block.size, num_locs + 1, -1)
-                rest_mass = rest_mass.transpose(1, 0, 2).reshape(-1, sizes[0])
-                for q in head_signal:
-                    mass = (rest_mass @ q.T).reshape(num_locs + 1, block.size, head)
-                    prob, wins = mass[0], mass[1:]
-                    valid = prob > ZERO_MASS
-                    if always_join_on_tie:
-                        # With every payoff positive, the system-favoring best
-                        # response joins exactly when some location's posterior
-                        # clears the tie tolerance.
-                        joins = wins.max(axis=0) >= -TIE_TOL * prob
-                    else:
-                        utilities = np.concatenate(
-                            [np.zeros((1,) + prob.shape), wins / np.where(valid, prob, 1.0)]
-                        )
-                        joins = _system_choice(utilities, system.payoffs) != 0
-                    scores += np.where(valid & joins, prob, 0.0)
-
-        scores = scores.ravel()
-        arg = int(np.argmax(scores))
-        if scores[arg] > best_value:
-            best_value = float(scores[arg])
-            best_flat = start * head + arg
-
-    rem = best_flat
     chosen_probs = []
-    for k in range(num_locs):
-        chosen_probs.append(combos[k][rem % counts[k]])
-        rem //= counts[k]
+    for c in combos:
+        chosen_probs.append(c[best_flat % c.shape[0]])
+        best_flat //= c.shape[0]
     return binary_mechanism(chosen_probs), best_value

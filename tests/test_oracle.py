@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmech.bounds import make_tightness_instance
+from sigmech.bounds import make_tightness_instance, max_join_bound
 from sigmech.decentralized import compose_optimal
 from sigmech.instances import random_independent_system, random_joint_system
 from sigmech.model import (
@@ -310,6 +310,99 @@ def test_grid_search_equals_naive_candidate_loop():
         assert found == pytest.approx(naive, abs=1e-12)
 
 
+def _with_payoffs(system, payoffs):
+    locations = tuple(
+        dataclasses.replace(loc, payoff=float(pay))
+        for loc, pay in zip(system.locations, payoffs)
+    )
+    return SystemModel(locations, system.joint)
+
+
+def _naive_grid_value(system, resolution):
+    return max(
+        evaluate(system, mech, best_response(system, mech)).throughput
+        for mech in _all_grid_candidates(system, resolution)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, resolution",
+    [
+        (lambda rng: random_independent_system(rng, 1, 3), 0.1),
+        (lambda rng: random_independent_system(rng, 3, 2), 0.5),
+        (lambda rng: random_independent_system(rng, 1, (2, 3)), 0.5),
+        (lambda rng: SystemModel(random_independent_system(rng, 2, 2).locations[:1]
+                                 + random_independent_system(rng, 1, 3).locations), 0.25),
+        (lambda rng: _with_payoffs(random_independent_system(rng, 2, 2), (-0.5, 1.5)), 0.25),
+        (lambda rng: _with_payoffs(random_joint_system(rng, 2, 2), (1.5, -0.5)), 0.25),
+        (lambda rng: _with_payoffs(random_joint_system(rng, 3, 2), (1.0, -0.5, 2.0)), 0.5),
+    ],
+    ids=["K1-three-states", "three-binary-locations", "K1-resolution-half",
+         "states-2-3", "mixed-sign-independent", "mixed-sign-joint", "mixed-sign-joint-K3"],
+)
+def test_folded_grid_search_equals_naive_candidate_loop(make, resolution):
+    # The fold scores only the all-ones signal and mirrors it for the
+    # others; the naive loop evaluates every candidate's every signal.
+    rng = np.random.default_rng(20)
+    for _ in range(2):
+        system = make(rng)
+        mech, found = grid_search_decentralized(system, resolution)
+        assert found == pytest.approx(_naive_grid_value(system, resolution), abs=1e-12)
+        check = evaluate(system, mech, best_response(system, mech))
+        assert check.throughput == pytest.approx(found, abs=1e-12)
+
+
+def test_grid_search_with_small_blocks_matches_default(monkeypatch):
+    # Blocks of a single mirror orbit still fold whole orbits and keep
+    # the first best candidate across blocks.  Winners may differ among
+    # ulp-level ties, so only the value and the winner's score are compared.
+    import sigmech.oracle as oracle
+
+    rng = np.random.default_rng(21)
+    cases = [
+        (_with_payoffs(random_joint_system(rng, 2, 2), (1.5, -0.5)), 0.1),
+        (random_joint_system(rng, 2, 2), 0.1),
+        (random_independent_system(rng, 2, (2, 3)), 0.1),
+        (random_independent_system(rng, 3, 2), 0.25),
+    ]
+    defaults = [grid_search_decentralized(system, res)[1] for system, res in cases]
+    monkeypatch.setattr(oracle, "_BATCH", 1)
+    for (system, res), value in zip(cases, defaults):
+        mech, found = grid_search_decentralized(system, res)
+        assert found == pytest.approx(value, abs=1e-12)
+        check = evaluate(system, mech, best_response(system, mech))
+        assert check.throughput == pytest.approx(found, abs=1e-12)
+
+
+def test_grid_search_first_candidate_wins_exact_ties(monkeypatch):
+    # Every candidate of a hopeless instance scores exactly 0, so the
+    # first one, all sigma_k(1|w) = 0, wins whatever the block size.
+    import sigmech.oracle as oracle
+
+    bad = LocationModel("a", ("s0", "s1"), (0.5, 0.5), (-1.0, -2.0))
+    system = SystemModel((bad, dataclasses.replace(bad, name="b")))
+    for batch in (oracle._BATCH, 1):
+        monkeypatch.setattr(oracle, "_BATCH", batch)
+        mech, found = grid_search_decentralized(system, 0.1)
+        assert found == 0.0
+        assert all(not part.table[:, 1].any() for part in mech.parts)
+
+
+def test_grid_search_requires_integer_steps():
+    # {0, 0.3, 0.6, 0.9, 1} is not closed under v -> 1 - v.
+    with pytest.raises(InputError, match="1/resolution"):
+        grid_search_decentralized(single_location(), 0.3)
+    with pytest.raises(InputError, match="1/resolution"):
+        grid_search_decentralized(pair_system(), 0.3, obedient_only=True)
+    # 1/3 is accepted: its three steps lie within 1e-9 of an integer.
+    system = pair_system()
+    _, found = grid_search_decentralized(system, 1.0 / 3.0)
+    assert found == pytest.approx(_naive_grid_value(system, 1.0 / 3.0), abs=1e-12)
+    # The join-envelope grid has no such symmetry to rely on.
+    _, value = max_join_bound(2, 0.3, mode="full")
+    assert 0.0 < value <= 1.0
+
+
 def test_obedient_grid_equals_naive_filtered_loop():
     from sigmech.decentralized import check_obedience
 
@@ -431,11 +524,7 @@ def test_product_form_oracles_match_dense_reference(seed, joint):
 
 def _mixed_payoff_joint_pair(rng):
     system = random_joint_system(rng, 2, 2)
-    payoffs = (float(rng.uniform(-1.0, 0.0)), float(rng.uniform(0.5, 2.0)))
-    locations = tuple(
-        dataclasses.replace(loc, payoff=pay) for loc, pay in zip(system.locations, payoffs)
-    )
-    return SystemModel(locations, system.joint)
+    return _with_payoffs(system, (rng.uniform(-1.0, 0.0), rng.uniform(0.5, 2.0)))
 
 
 def test_joint_grid_search_equals_naive_candidate_loop():
