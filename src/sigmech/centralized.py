@@ -14,6 +14,13 @@ action) pairs, one column group per orbit of states and one matrix row
 per orbit of rows.  It then spreads each orbit's value evenly over its
 members.  With no two locations alike every orbit is a single column or
 row, and the orbit LP is the full LP itself.
+
+The simplex starts from a vertex known to be feasible
+(:func:`priority_start`).  When no location is worth joining on the
+prior, which is where signaling matters, that is the payoff-priority
+recommendation: each state recommends the highest-weight location worth
+joining there.  Otherwise it is the uninformative recommendation of the
+best location on the prior (:func:`uninformative_start`).
 """
 
 from __future__ import annotations
@@ -94,13 +101,87 @@ def uninformative_start(
     a* alone in its class the start is x(w, a*).
     """
     means = mu @ util
-    best = int(np.argmax(means))
+    return _best_mean_start(means, int(np.argmax(means)), util, classes)
+
+
+def _best_mean_start(
+    means: np.ndarray, best: int, util: np.ndarray, classes: tuple[tuple[int, ...], ...]
+) -> np.ndarray:
+    """:func:`uninformative_start` from the prior means and their argmax ``best``."""
     num_states, num_locs = util.shape
     first = np.arange(num_states) * (num_locs + 1)
     if means[best] <= 0.0:
         return first
     members = np.array(next((c for c in classes if best in c), (best,)))
     return first + members[np.argmax(util[:, members], axis=1)] + 1
+
+
+def priority_start(
+    mu: np.ndarray,
+    util: np.ndarray,
+    weights: np.ndarray | None = None,
+    classes: tuple[tuple[int, ...], ...] = (),
+) -> np.ndarray:
+    """Start basis of :func:`obedience_lp` with objective ``weights`` (None
+    for equal weights): the payoff-priority recommendation.
+
+    If some prior mean ``mu @ util`` is positive this is
+    :func:`uninformative_start`.  Otherwise each state recommends, among
+    the locations with positive weight and nonnegative utility there,
+    one with the largest weight, then the largest utility, then the first
+    in ``classes`` order (classes by first member, each in increasing
+    order; location order without classes), and leave where none
+    qualifies.  Its objective is nonnegative, so at least the
+    uninformative start's, and it is feasible:
+
+    - With equal weights it is the full-information recommendation,
+      obedient state by state: the recommended location is worth
+      joining and at least as good as any other, and leave is
+      recommended only where every location is worse than leaving.
+      This covers every unweighted LP and every single-location one.
+    - With ``weights`` only the deviation rows toward lower-weight
+      locations and the leave rows of nonpositive-weight locations can
+      fail, and under a joint prior some do.  So those rows are checked,
+      from one (K + 1, K) mass matrix; if one fails, the rule is retried
+      with equal weight on every positive-weight location, and if that
+      fails too the start recommends leave everywhere.
+
+    Ties are broken by class, so a state and its images under
+    permutations within classes recommend locations of one class with
+    one utility.  Each row orbit then sums to the same value over this
+    start as over the orbit LP's start, the spread of this one's choices
+    at one state of every orbit, so that start is feasible as well.
+    (Under equal weights every tie-break is obedient state by state.)
+    """
+    means = mu @ util
+    best = int(means.argmax())
+    if means[best] > 0.0:
+        return _best_mean_start(means, best, util, classes)
+    num_states, num_locs = util.shape
+    first = np.arange(num_states) * (num_locs + 1)
+    if weights is None:
+        return first + (util.argmax(axis=1) + 1) * (util.max(axis=1) >= 0.0)
+    order = np.concatenate(classes) if classes else np.arange(num_locs)
+    for trial in (weights, np.where(weights > 0.0, 1.0, 0.0)):
+        rank = np.where(util >= 0.0, trial, 0.0)[:, order]
+        top = rank.max(axis=1)
+        pick = np.argmax(np.where(rank == top[:, None], util[:, order], -np.inf), axis=1)
+        actions = np.where(top > 0.0, order[pick] + 1, 0)
+        if _obedient(mu, util, actions):
+            return first + actions
+    return first
+
+
+def _obedient(mu: np.ndarray, util: np.ndarray, actions: np.ndarray) -> bool:
+    """Whether recommending ``actions`` (0 = leave) meets the deviation and
+    leave rows; the join rows hold term by term where every recommended
+    location's utility is nonnegative."""
+    num_states, num_locs = util.shape
+    recommended = np.zeros((num_locs + 1, num_states))
+    recommended[actions, np.arange(num_states)] = mu
+    mass = recommended @ util  # mass[a, l]: mu u_l summed where a is recommended
+    own = mass[1:].diagonal()
+    return bool((mass[0] <= 0.0).all() and (own[:, None] >= mass[1:]).all())
 
 
 def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearProgram:
@@ -119,6 +200,12 @@ def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearP
 def uninformative_basis(system: SystemModel) -> np.ndarray:
     """The uninformative start (see :func:`uninformative_start`) of the system's LP."""
     return uninformative_start(system.joint_vector, system.utility_matrix)
+
+
+def priority_basis(system: SystemModel, weighted: bool = False) -> np.ndarray:
+    """The payoff-priority start (see :func:`priority_start`) of the system's full LP."""
+    weights = np.asarray(system.payoffs) if weighted else None
+    return priority_start(system.joint_vector, system.utility_matrix, weights)
 
 
 def obedient_strategy(num_locations: int) -> CustomerStrategy:
@@ -248,15 +335,18 @@ def solve_centralized(
 
     Builds the full LP, solves it over orbits of interchangeable
     locations (:func:`orbit_lp`) and spreads each orbit's value evenly
-    over its members.  The simplex starts from the uninformative
-    recommendation made symmetric (see :func:`uninformative_start`),
-    which is always feasible.  The report's throughput (unweighted) or
-    value (weighted) matches the LP optimum.
+    over its members.  The simplex starts from the payoff-priority
+    recommendation, with ties broken by class (see
+    :func:`priority_start`), which is always feasible.  The report's
+    throughput (unweighted) or value (weighted) matches the LP optimum.
     """
     lp = build_centralized_lp(system, weighted)
     orbits = lp_orbits(system)
-    start = uninformative_start(
-        system.joint_vector, system.utility_matrix, system.location_classes
+    start = priority_start(
+        system.joint_vector,
+        system.utility_matrix,
+        np.asarray(system.payoffs) if weighted else None,
+        system.location_classes,
     )
     solution = solve(orbit_lp(lp, orbits), orbits.columns[start[orbits.states]])
     x = (np.asarray(solution.x) / orbits.multiplicity)[orbits.columns]

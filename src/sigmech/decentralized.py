@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .centralized import obedience_lp, uninformative_start
+from .centralized import obedience_lp, priority_start
 from .lp import solve
 from .model import (
     ZERO_MASS,
@@ -65,13 +65,15 @@ def solve_isolated(location: LocationModel) -> IsolatedSolution:
     This is the obedience LP with K = 1, the single-location persuasion
     problem of Kamenica and Gentzkow: recommend join (signal 1) or leave
     (signal 0) in each state so that both recommendations are obeyed.
-    It is solved from the uninformative recommendation, and its (n, 2)
-    solution is the location's signal table.
+    It is solved from full information (join exactly where the utility
+    is nonnegative) if the prior-mean utility is not positive, else from
+    always joining (see :func:`centralized.priority_start`), and its
+    (n, 2) solution is the location's signal table.
     """
     prior = location.prior_array()
     util = location.utility_array()[:, None]
     lp = obedience_lp(prior, util, np.ones(1))
-    solution = solve(lp, uninformative_start(prior, util))
+    solution = solve(lp, priority_start(prior, util))
     part = LocationSignaling((0, 1), np.reshape(solution.x, (location.num_states, 2)))
     return IsolatedSolution(part, solution.objective_value)
 

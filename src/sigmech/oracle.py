@@ -42,6 +42,10 @@ from .model import (
 TIE_TOL = 1e-9
 # Parameter-count guard for the grid search.
 GRID_PARAM_LIMIT = 8
+# Candidate-count guard for the grid search, checked before any grid is
+# built: above 51^4 (two binary locations at resolution 0.02), below 11^7.
+# Each location's grid is built whole, so this also bounds its memory.
+GRID_CANDIDATE_LIMIT = 10**7
 # Grid candidates scored per block, unless one location-1 grid times the
 # 2^(K-1) mirror images of an orbit is larger.  A block's float arrays
 # (128 KiB each) stay in cache: with mirror-orbit blocks 2^14 and 2^15
@@ -390,6 +394,12 @@ def grid_search_decentralized(
     if abs(steps - round(steps)) >= 1e-9:
         raise InputError(
             f"grid search needs 1/resolution to be an integer, got resolution {resolution}"
+        )
+    candidates = len(values) ** sum(sizes)  # prod_k (1/resolution + 1)^{n_k}
+    if candidates > GRID_CANDIDATE_LIMIT:
+        raise InputError(
+            f"grid search scores at most {GRID_CANDIDATE_LIMIT} candidates, "
+            f"instance has {candidates} at resolution {resolution}"
         )
 
     combos = [_location_combos(values, n) for n in sizes]

@@ -1,5 +1,6 @@
 """Centralized LP construction and solution tests."""
 
+import dataclasses
 import itertools
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from sigmech.centralized import (
     lp_orbits,
     obedient_strategy,
     orbit_lp,
+    priority_basis,
+    priority_start,
     solve_centralized,
     uninformative_basis,
     uninformative_start,
@@ -217,12 +220,20 @@ def _random_system(seed: int, kind: str) -> SystemModel:
 )
 def test_warm_start_matches_two_phase_solve(seed, kind, weighted):
     """The warm-started solve equals HiGHS on the same LP, a solver sharing no code with it."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
     system = _random_system(seed, kind)
     lp = build_centralized_lp(system, weighted)
     start = np.zeros(lp.n_vars)
     start[uninformative_basis(system)] = 1.0
     assert violation_at(lp, start) <= 1e-12
+    reference = _highs_optimum(lp)
+    _, report = solve_centralized(system, weighted)
+    value = report.value if weighted else report.throughput
+    assert abs(value - reference) <= 1e-9
+
+
+def _highs_optimum(lp) -> float:
+    """The LP's optimum by HiGHS, a solver sharing no code with ``lp.solve``."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     groups = np.arange(lp.num_groups)[:, None] == lp.groups  # one row sum per group
     reference = linprog(
         -lp.objective,
@@ -236,9 +247,89 @@ def test_warm_start_matches_two_phase_solve(seed, kind, weighted):
                  "dual_feasibility_tolerance": 1e-10},
     )
     assert reference.status == 0
+    return -reference.fun
+
+
+def _start_system(seed: int, kind: str) -> SystemModel:
+    """Random system for the start tests.  Independent or joint priors get
+    payoffs from [-1, 3] and, in four of five draws, utilities shifted so
+    that no prior mean is positive, where the payoff-priority start
+    applies; identical locations come from :func:`_symmetric_system`."""
+    if kind == "identical":
+        return _symmetric_system(seed, joint=seed % 2 == 1, payoffs=True)[0]
+    rng = np.random.default_rng(seed)
+    if kind == "joint":
+        system = random_joint_system(rng, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+    else:
+        system = random_independent_system(rng, (1, 3), (2, 3))
+    nonpositive = rng.random() < 0.8
+    locations = []
+    for loc in system.locations:
+        shift = max(0.0, loc.expected_utility()) + rng.uniform(0.0, 0.2) if nonpositive else 0.0
+        locations.append(
+            dataclasses.replace(
+                loc,
+                utility=tuple(h - shift for h in loc.utility),
+                payoff=float(rng.uniform(-1.0, 3.0)),
+            )
+        )
+    return SystemModel(tuple(locations), system.joint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["independent", "joint", "identical"]),
+    weighted=st.booleans(),
+)
+def test_priority_start_is_feasible_and_no_worse_than_uninformative(seed, kind, weighted):
+    system = _start_system(seed, kind)
+    lp = build_centralized_lp(system, weighted)
+    mu, util, classes = system.joint_vector, system.utility_matrix, system.location_classes
+    start = priority_start(mu, util, np.asarray(system.payoffs) if weighted else None, classes)
+    point = np.zeros(lp.n_vars)
+    point[start] = 1.0
+    assert violation_at(lp, point) <= FEAS_TOL
+    leave = np.zeros(lp.n_vars)
+    leave[uninformative_start(mu, util, classes)] = 1.0
+    assert lp.objective @ point >= lp.objective @ leave
+
+    # The orbit LP starts from the spread of the start's choices.
+    orbits = lp_orbits(system)
+    reduced = orbit_lp(lp, orbits)
+    spread = np.zeros(reduced.n_vars)
+    spread[orbits.columns[start[orbits.states]]] = 1.0
+    assert violation_at(reduced, spread) <= FEAS_TOL
+
+    reference = _highs_optimum(lp)
+    full = solve(lp, priority_basis(system, weighted)).objective_value
     _, report = solve_centralized(system, weighted)
-    value = report.value if weighted else report.throughput
-    assert abs(value + reference.fun) <= 1e-9
+    assert abs(full - reference) <= 1e-9
+    assert abs((report.value if weighted else report.throughput) - reference) <= 1e-9
+
+
+def test_priority_start_falls_back_to_equal_weights_under_a_joint_prior():
+    # Location a pays 2 and b pays 1; both prior means are negative.  Payoff
+    # priority recommends a wherever a is worth joining, but on a's good
+    # state b is usually better still: the deviation row from a to b sums
+    # to 0.1 (0.5 + 1) + 0.1 (0.5 - 3) = -0.1.
+    locations = (
+        LocationModel("a", ("bad", "good"), (0.8, 0.2), (-1.0, 0.5), payoff=2.0),
+        LocationModel("b", ("bad", "good"), (0.8, 0.2), (-1.0, 3.0), payoff=1.0),
+    )
+    system = SystemModel(locations, (0.7, 0.1, 0.1, 0.1))  # states (a, b): 00, 10, 01, 11
+    lp = build_centralized_lp(system, weighted=True)
+    by_payoff = np.zeros(lp.n_vars)
+    by_payoff[[0, 3 + 1, 6 + 2, 9 + 1]] = 1.0  # leave, a, b, a
+    assert violation_at(lp, by_payoff) == pytest.approx(0.1)
+
+    basis = priority_basis(system, weighted=True)
+    assert basis.tolist() == [0, 3 + 1, 6 + 2, 9 + 2]  # full information: b on 11
+    assert basis.tolist() == priority_basis(system).tolist()
+    value = solve(lp, basis).objective_value
+    assert value == pytest.approx(solve(lp, uninformative_basis(system)).objective_value, abs=1e-12)
+    _, report = solve_centralized(system, weighted=True)
+    assert abs(report.value - value) <= 1e-12
 
 
 def test_uninformative_basis_recommends_the_best_positive_mean():
@@ -287,6 +378,39 @@ def test_correlated_penalties_where_the_full_lp_fails_solve_over_orbits():
     for k, penalty in itertools.product((5, 7, 8), grid):
         _, report = solve_centralized(make_correlated_instance(k, penalty))
         assert abs(report.throughput - 1.0) <= 1e-9, (k, penalty)
+
+
+def test_orbit_cells_that_drifted_from_the_leave_start_reach_full_throughput():
+    # From "leave everywhere" these ended 1.6e-9 to 2.2e-9 short of 1: the
+    # basic values read off the tableau drift on bases with condition
+    # numbers up to 2e14.  The payoff-priority start avoids those bases.
+    grid = np.logspace(1, 7, 25)
+    for k, penalty in ((4, grid[23]), (4, grid[24]), (6, grid[21])):  # 5.6e6, 1e7, 1.78e6
+        _, report = solve_centralized(make_correlated_instance(k, float(penalty)))
+        assert abs(report.throughput - 1.0) <= 1e-9, (k, penalty)
+
+
+def _dirichlet_system(rng: np.random.Generator, num_locations: int) -> SystemModel:
+    """Independent 3-state locations with Dirichlet(1, 1, 1) priors and
+    utilities N(0, 1) - 1, drawn location by location."""
+    locations = []
+    for k in range(num_locations):
+        prior = rng.dirichlet(np.ones(3))
+        utility = rng.normal(size=3) - 1.0
+        locations.append(
+            LocationModel(f"loc{k + 1}", ("s0", "s1", "s2"), tuple(prior), tuple(utility))
+        )
+    return SystemModel(tuple(locations))
+
+
+def test_random_three_state_k8_full_lp_solves_from_the_priority_start():
+    # 6561 states, 59049 variables.  From "leave everywhere" a row pivot of
+    # 1.2e-9 wrecks the tableau after about 1000 pivots; from the priority
+    # start it takes about 1000 pivots and 1 s.
+    system = _dirichlet_system(np.random.default_rng([0, 8]), 8)
+    assert max(loc.expected_utility() for loc in system.locations) < 0.0
+    value = solve(build_centralized_lp(system), priority_basis(system)).objective_value
+    assert abs(value - 1.0) <= 1e-9
 
 
 def test_orbit_lp_equals_the_full_lp_on_generator_instances():
@@ -458,7 +582,6 @@ def _swap_permutations(system: SystemModel):
     weighted=st.booleans(),
 )
 def test_orbit_lp_matches_the_full_lp_and_highs(seed, joint, payoffs, weighted):
-    linprog = pytest.importorskip("scipy.optimize").linprog
     system, classes = _symmetric_system(seed, joint, payoffs)
     assert sorted(system.location_classes) == classes
     lp = build_centralized_lp(system, weighted)
@@ -466,20 +589,8 @@ def test_orbit_lp_matches_the_full_lp_and_highs(seed, joint, payoffs, weighted):
     value = report.value if weighted else report.throughput
 
     full = solve(lp, uninformative_basis(system)).objective_value
-    groups = np.arange(lp.num_groups)[:, None] == lp.groups
-    reference = linprog(
-        -lp.objective,
-        A_ub=lp.matrix * lp.senses[:, None],
-        b_ub=lp.rhs * lp.senses,
-        A_eq=groups.astype(float),
-        b_eq=np.ones(lp.num_groups),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    assert reference.status == 0
     assert abs(value - full) <= 1e-9
-    assert abs(value + reference.fun) <= 1e-9
+    assert abs(value - _highs_optimum(lp)) <= 1e-9
 
     table = mech.table
     assert violation_at(lp, table.reshape(-1)) <= FEAS_TOL
@@ -495,12 +606,14 @@ def test_orbit_lp_of_an_asymmetric_system_is_the_full_lp():
         lp = build_centralized_lp(system, weighted)
         orbits = lp_orbits(system)
         assert orbit_lp(lp, orbits) is lp
-        start = uninformative_start(
-            system.joint_vector, system.utility_matrix, system.location_classes
+        weights = np.asarray(system.payoffs) if weighted else None
+        start = priority_start(
+            system.joint_vector, system.utility_matrix, weights, system.location_classes
         )
-        assert np.array_equal(orbits.columns[start[orbits.states]], uninformative_basis(system))
+        basis = priority_basis(system, weighted)
+        assert np.array_equal(orbits.columns[start[orbits.states]], basis)
         mech, _ = solve_centralized(system, weighted)
-        x = solve(lp, uninformative_basis(system)).x
+        x = solve(lp, basis).x
         expected = np.asarray(x).reshape(mech.table.shape)
         expected[(expected < 0.0) & (expected >= -1e-12)] = 0.0  # as the mechanism clamps
         assert mech.table.tobytes() == expected.tobytes()

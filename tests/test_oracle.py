@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmech import oracle
 from sigmech.bounds import make_tightness_instance, max_join_bound
 from sigmech.decentralized import compose_optimal
 from sigmech.instances import random_independent_system, random_joint_system
@@ -239,6 +240,30 @@ def test_grid_search_parameter_guard():
         grid_search_decentralized(big, 0.5)
     with pytest.raises(InputError, match="resolution"):
         grid_search_decentralized(single_location(), 0.0)
+
+
+def test_grid_search_candidate_guard(monkeypatch):
+    # One 8-state location passes the parameter guard, but at resolution 0.1
+    # it has 11^8 = 214M candidates and its grid alone would take 13.7 GB.
+    wide = LocationModel(
+        "wide", tuple(f"s{i}" for i in range(8)), (0.125,) * 8, (1.0,) + (-1.0,) * 7
+    )
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built before the guard")
+
+    monkeypatch.setattr(oracle, "_location_combos", no_grid)
+    with pytest.raises(InputError, match="214358881 at resolution 0.1"):
+        grid_search_decentralized(SystemModel((wide,)), 0.1)
+    with pytest.raises(InputError, match="candidates"):
+        grid_search_decentralized(pair_system(), 0.01)  # 101^4 = 104M
+    monkeypatch.undo()
+    # The largest grids in use stay below the limit: 51^4, as in acceptance
+    # criterion 2, and 11^6 for two three-state locations at 0.1.
+    assert 51**4 <= oracle.GRID_CANDIDATE_LIMIT < 11**7
+    three = LocationModel("t", ("s0", "s1", "s2"), (0.5, 0.3, 0.2), (-1.0, 0.5, 1.0))
+    _, found = grid_search_decentralized(SystemModel((three, three)), 0.1)
+    assert 0.0 <= found <= 1.0
 
 
 def test_grid_search_never_beats_composition_on_independent_instances():
