@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import InputError, LocationModel, SystemModel, joint_index
-from .oracle import _grid_values, _location_combos
+from .oracle import GRID_CANDIDATE_LIMIT, _grid_values, _location_combos
 
 
 def independence_guarantee(num_locations: int) -> float:
@@ -110,18 +110,22 @@ def max_join_bound(
 ) -> tuple[tuple[float, ...], float]:
     """Maximize :func:`join_envelope` over [0,1]^K.
 
-    ``full`` mode scans the grid {0, resolution, ..., 1}^K (K <= 4);
-    ``symmetric`` mode uses the reduction to max{K z : z <= (1-z)^(K-1)},
-    whose optimum is K times the balanced share.  ``auto`` picks full
-    for K <= 4 and symmetric otherwise.  Returns (maximizer, value).
+    ``full`` mode scans the grid {0, resolution, ..., 1}^K (K <= 4, at
+    most ``oracle.GRID_CANDIDATE_LIMIT`` points, checked before any grid
+    is built); ``symmetric`` mode uses the reduction to
+    max{K z : z <= (1-z)^(K-1)}, whose optimum is K times the balanced
+    share.  ``auto`` picks full where full mode accepts the grid and
+    symmetric otherwise.  Returns (maximizer, value).
     """
     k = int(num_locations)
     if k < 2:
         raise InputError(f"need at least two locations, got {num_locations}")
     if not 0.0 < resolution <= 0.5:
         raise InputError(f"resolution must lie in (0, 0.5], got {resolution}")
+    values = _grid_values(resolution)
+    fits = k <= 4 and len(values) ** k <= GRID_CANDIDATE_LIMIT
     if mode == "auto":
-        mode = "full" if k <= 4 else "symmetric"
+        mode = "full" if fits else "symmetric"
     if mode == "symmetric":
         share = solve_balanced_share(k)
         return (share,) * k, k * share
@@ -129,8 +133,13 @@ def max_join_bound(
         raise InputError(f"unknown mode {mode!r}")
     if k > 4:
         raise InputError("full-grid mode is capped at 4 locations")
+    if not fits:
+        raise InputError(
+            f"full-grid mode scores at most {GRID_CANDIDATE_LIMIT} candidates, "
+            f"got {len(values) ** k} at resolution {resolution}"
+        )
 
-    grid = _location_combos(_grid_values(resolution), k)
+    grid = _location_combos(values, k)
     score = join_envelope(grid)
     arg = int(np.argmax(score))
     return tuple(float(v) for v in grid[arg]), float(score[arg])

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
-from .lp import GREATER, LESS, LinearProgram, solve
+from .lp import LinearProgram, solve
 from .model import (
     CentralizedMechanism,
     CustomerStrategy,
@@ -44,9 +44,10 @@ def obedience_lp(mu: np.ndarray, util: np.ndarray, weights: np.ndarray) -> Linea
     """Obedience LP for prior ``mu`` (S,), utilities ``util`` (S, K), weights (K,).
 
     One variable per (state w, recommendation a), at index
-    w * (K + 1) + a; a = 0 is leave.  The matrix rows are the K*(K-1)
-    deviation rows (recommended k beats each other location l, k-major),
-    the K join-beats-leaving rows, then the K leave rows.  Each state's
+    w * (K + 1) + a; a = 0 is leave.  The matrix rows, all ``>= 0``, are
+    the K*(K-1) deviation rows (recommended k beats each other location
+    l, k-major), the K join-beats-leaving rows, then the K leave rows
+    (leaving beats joining k, written -mu u_k >= 0).  Each state's
     recommendations sum to 1: state w is column group w, not a matrix
     row.  The objective weighs location k's recommendation mass by
     ``weights[k]``.  With K = 1 this is the single-location persuasion
@@ -70,13 +71,10 @@ def obedience_lp(mu: np.ndarray, util: np.ndarray, weights: np.ndarray) -> Linea
     join = matrix[num_dev : num_dev + num_locs].reshape(num_locs, num_states, num_actions)
     join[locs, :, locs + 1] = mass
     leave = matrix[num_dev + num_locs :]
-    leave.reshape(num_locs, num_states, num_actions)[:, :, 0] = mass
+    np.negative(mass, out=leave.reshape(num_locs, num_states, num_actions)[:, :, 0])
 
-    relations = [GREATER] * (num_dev + num_locs) + [LESS] * num_locs
     groups = np.repeat(np.arange(num_states), num_actions)
-    return LinearProgram(
-        objective.reshape(-1), matrix, relations, np.zeros(matrix.shape[0]), groups
-    )
+    return LinearProgram(objective.reshape(-1), matrix, np.zeros(matrix.shape[0]), groups)
 
 
 def uninformative_start(
@@ -126,13 +124,16 @@ def priority_start(
     for equal weights): the payoff-priority recommendation.
 
     If some prior mean ``mu @ util`` is positive this is
-    :func:`uninformative_start`.  Otherwise each state recommends, among
-    the locations with positive weight and nonnegative utility there,
-    one with the largest weight, then the largest utility, then the first
-    in ``classes`` order (classes by first member, each in increasing
-    order; location order without classes), and leave where none
-    qualifies.  Its objective is nonnegative, so at least the
-    uninformative start's, and it is feasible:
+    :func:`uninformative_start`, which with ``classes`` is feasible only
+    as its spread over orbits, the orbit LP's start; the full LP starts
+    from the class-free start (:func:`priority_basis`).  Otherwise each
+    state recommends, among the locations with positive weight and
+    nonnegative utility there, one with the largest weight, then the
+    largest utility, then the first in ``classes`` order (classes by
+    first member, each in increasing order; location order without
+    classes), and leave where none qualifies.  Its objective is
+    nonnegative, so at least the uninformative start's, and it is
+    feasible:
 
     - With equal weights it is the full-information recommendation,
       obedient state by state: the recommended location is worth
@@ -322,7 +323,6 @@ def orbit_lp(lp: LinearProgram, orbits: Orbits) -> LinearProgram:
     return LinearProgram(
         orbit_sums(lp.objective),
         orbit_sums(lp.matrix[rows]),
-        lp.relations[rows],
         lp.rhs[rows],
         orbits.groups,
     )
@@ -349,7 +349,7 @@ def solve_centralized(
         system.location_classes,
     )
     solution = solve(orbit_lp(lp, orbits), orbits.columns[start[orbits.states]])
-    x = (np.asarray(solution.x) / orbits.multiplicity)[orbits.columns]
+    x = (solution.x / orbits.multiplicity)[orbits.columns]
     num_actions = system.num_locations + 1
     table = x.reshape(system.state_count, num_actions)
     mech = CentralizedMechanism(tuple(range(num_actions)), table)

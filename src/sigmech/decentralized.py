@@ -74,7 +74,7 @@ def solve_isolated(location: LocationModel) -> IsolatedSolution:
     util = location.utility_array()[:, None]
     lp = obedience_lp(prior, util, np.ones(1))
     solution = solve(lp, priority_start(prior, util))
-    part = LocationSignaling((0, 1), np.reshape(solution.x, (location.num_states, 2)))
+    part = LocationSignaling((0, 1), solution.x.reshape(location.num_states, 2))
     return IsolatedSolution(part, solution.objective_value)
 
 

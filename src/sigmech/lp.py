@@ -3,10 +3,10 @@
 Sized for the obedience LPs this package builds: hundreds of thousands
 of variables at most, every one of them nonnegative, and a few hundred
 matrix rows.  An LP is held as numpy arrays: an objective, a matrix of
-``<=`` and ``>=`` rows with their rhs, and optional column groups.
-``groups[j]`` names the group of column j, and every group's columns
-sum to 1.  The obedience LPs' one row sum per state is held as a group,
-not as a matrix row.
+``>=`` rows with their rhs, and optional column groups.  ``groups[j]``
+names the group of column j, and every group's columns sum to 1.  The
+obedience LPs' one row sum per state is held as a group, not as a
+matrix row.
 
 The simplex keeps the groups out of its tableau too: generalized upper
 bounding (Dantzig and Van Slyke, JCSS 1967).  Each group has one basic
@@ -45,8 +45,7 @@ solver subtracts the keys' columns from the matrix rows (a gather: row
 r loses its entry at the key of each column's group), checks that the
 resulting basic solution is feasible (rhs >= -FEAS_TOL, else
 SolverError) and runs the simplex from there.  For an LP without groups
-the basis is empty, which needs every rhs of a ``<=`` row to be
-nonnegative (and of a ``>=`` row nonpositive).
+the basis is empty, which needs every rhs to be nonpositive.
 
 One way out: a returned solution is optimal, and every failure,
 an unbounded LP included, raises SolverError.
@@ -79,50 +78,48 @@ PIVOT_TOL = 1e-9   # smallest pivot element accepted in the ratio test
 # the whole-row one the large LPs about 55%.
 SPARSE_ROW = 0.25
 
-LESS = "<="
-GREATER = ">="
-_RELATIONS = (LESS, GREATER)
-
 
 class ConstraintRow(NamedTuple):
     """One matrix row of a LinearProgram; ``coeffs`` is a view into its matrix."""
 
     coeffs: np.ndarray
-    relation: str
-    rhs: float
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective . x subject to matrix @ x (relations) rhs, group sums 1, x >= 0.
+    """maximize objective . x subject to matrix @ x >= rhs, group sums 1, x >= 0.
 
-    ``objective`` has shape (n,), ``matrix`` (m, n), ``relations`` holds
-    m of LESS / GREATER and ``rhs`` has shape (m,).  ``groups``, if
-    given, has shape (n,) and holds each column's group id, from 0: the
-    columns of every group sum to 1.  Inputs are converted to arrays
-    without copying where possible.
+    ``objective`` has shape (n,), ``matrix`` (m, n) and ``rhs`` (m,).
+    ``groups``, if given, has shape (n,) and holds each column's group
+    id, from 0: the columns of every group sum to 1.  Inputs are
+    converted to arrays without copying where possible; a shape that
+    does not fit raises InputError.
     """
 
     objective: np.ndarray
-    matrix: np.ndarray | None = None
-    relations: Sequence[str] = ()
-    rhs: np.ndarray | Sequence[float] = ()
+    matrix: np.ndarray
+    rhs: np.ndarray | Sequence[float]
     groups: np.ndarray | Sequence[int] | None = None
-    # The relations as +1 (<=) or -1 (>=), derived from ``relations``.
-    senses: np.ndarray = field(init=False, repr=False)
     # Number of column groups: one more than the largest group id.
     num_groups: int = field(init=False, repr=False)
 
     def __post_init__(self):
         objective = np.asarray(self.objective, dtype=float)
+        matrix = np.asarray(self.matrix, dtype=float)
+        rhs = np.asarray(self.rhs, dtype=float)
         n = objective.size
-        matrix = np.zeros((0, n)) if self.matrix is None else np.asarray(self.matrix, dtype=float)
-        if matrix.size == 0:
-            matrix = matrix.reshape(0, n)
-        relations = np.asarray(self.relations, dtype=str)
-        unknown = set(relations.tolist()) - set(_RELATIONS)
-        if unknown:
-            raise InputError(f"unknown relation {sorted(unknown)[0]!r}")
+        if objective.ndim != 1 or n < 1:
+            raise InputError("a linear program needs a 1-D objective over at least one variable")
+        if matrix.ndim != 2 or matrix.shape[1] != n:
+            raise InputError(
+                f"constraint matrix of shape {matrix.shape} is not 2-D with {n} columns"
+            )
+        m = matrix.shape[0]
+        if rhs.shape != (m,):
+            raise InputError(
+                f"{m} constraint rows need {m} right-hand sides, got shape {rhs.shape}"
+            )
+        num_groups = 0
         if self.groups is not None:
             groups = np.asarray(self.groups)
             if groups.shape != (n,) or not np.issubdtype(groups.dtype, np.integer):
@@ -130,17 +127,14 @@ class LinearProgram:
                     f"groups must be {n} integer group ids, one per column, "
                     f"got shape {groups.shape} of {groups.dtype}"
                 )
-            if n and groups.min() < 0:
+            if groups.min() < 0:
                 raise InputError(f"group ids must be nonnegative, got {groups.min()}")
+            num_groups = int(groups.max()) + 1
             object.__setattr__(self, "groups", groups)
-        num_groups = int(self.groups.max()) + 1 if self.groups is not None and n else 0
         object.__setattr__(self, "num_groups", num_groups)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "relations", relations)
-        senses = (relations == LESS).astype(int) - (relations == GREATER)
-        object.__setattr__(self, "senses", senses)
-        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def n_vars(self) -> int:
@@ -154,41 +148,23 @@ class LinearProgram:
     @property
     def constraints(self) -> tuple[ConstraintRow, ...]:
         """The matrix rows one by one, as views into the matrix."""
-        return tuple(
-            ConstraintRow(self.matrix[i], str(self.relations[i]), float(self.rhs[i]))
-            for i in range(self.n_constraints)
-        )
+        return tuple(ConstraintRow(row) for row in self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
-    """An optimal solution: its point, objective value and worst constraint breach."""
+    """An optimal solution: its point (read-only), objective value and worst
+    constraint breach."""
 
-    x: tuple[float, ...]
+    x: np.ndarray
     objective_value: float
     max_violation: float
-
-
-def _check_shapes(lp: LinearProgram) -> None:
-    n = lp.n_vars
-    if lp.objective.ndim != 1 or n < 1:
-        raise InputError("a linear program needs a 1-D objective over at least one variable")
-    if lp.matrix.ndim != 2 or lp.matrix.shape[1] != n:
-        raise InputError(
-            f"constraint matrix of shape {lp.matrix.shape} does not have {n} columns"
-        )
-    m = lp.n_constraints
-    if lp.relations.shape != (m,) or lp.rhs.shape != (m,):
-        raise InputError(
-            f"{m} constraint rows need {m} relations and {m} right-hand sides, "
-            f"got {lp.relations.size} and {lp.rhs.size}"
-        )
 
 
 def violation_at(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint breach, group-sum gap |sum - 1| or negative entry at x."""
     x = np.asarray(x, dtype=float)
-    breach = lp.senses * (lp.matrix @ x - lp.rhs)
+    breach = lp.rhs - lp.matrix @ x
     worst = max(0.0, float(breach.max(initial=0.0)), float((-x).max()))
     if lp.num_groups:
         sums = np.bincount(lp.groups, weights=x, minlength=lp.num_groups)
@@ -404,9 +380,9 @@ def _warm_tableau(lp: LinearProgram, start: np.ndarray, cap: int) -> _Tableau:
     m, n = lp.matrix.shape
     body = np.zeros((m + 1, n + m + 1))
     rows = body[:m]
-    # Every inequality becomes a <= row with a +1 slack.
-    np.multiply(lp.matrix, lp.senses[:, None], out=rows[:, :n])
-    np.multiply(lp.rhs, lp.senses, out=rows[:, -1])
+    # Every row A x >= b becomes the row -A x <= -b with a +1 slack.
+    np.negative(lp.matrix, out=rows[:, :n])
+    np.negative(lp.rhs, out=rows[:, -1])
     np.fill_diagonal(rows[:, n : n + m], 1.0)
     costs = body[-1]
     groups = None
@@ -446,11 +422,10 @@ def solve(
     columns together with every matrix row's slack form a feasible
     starting basis (see the module docstring).
 
-    Raises InputError on shape mismatches or a basis column outside its
-    group, SolverError if the LP is unbounded, the pivot limit is
+    Raises InputError on a basis of the wrong size or a column outside
+    its group, SolverError if the LP is unbounded, the pivot limit is
     exceeded or the given basis is infeasible.
     """
-    _check_shapes(lp)
     num_groups = lp.num_groups
     cap = _iteration_cap
     if cap is None:
@@ -477,4 +452,5 @@ def solve(
             f"simplex returned an optimal basis with violation {worst:.3g} "
             f"above the {FEAS_TOL} feasibility tolerance"
         )
-    return LpSolution(tuple(x.tolist()), objective, worst)
+    x.flags.writeable = False
+    return LpSolution(x, objective, worst)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmech import bounds
 from sigmech.bounds import (
     correlated_upper_bound,
     independence_guarantee,
@@ -151,6 +152,27 @@ def test_max_join_bound_input_errors():
         max_join_bound(5, 0.1, mode="full")
     with pytest.raises(InputError):
         max_join_bound(1, 0.1)
+
+
+def test_max_join_bound_refuses_a_full_grid_above_the_candidate_limit(monkeypatch):
+    # At resolution 0.001 the first of the four 1001^4 grid arrays alone
+    # would take 7.31 TiB; at the default 0.01 the grid takes several GiB.
+    def no_grid(*args):
+        raise AssertionError("a grid was built before the guard")
+
+    monkeypatch.setattr(bounds, "_location_combos", no_grid)
+    with pytest.raises(InputError, match="1004006004001 at resolution 0.001"):
+        max_join_bound(4, 0.001, mode="full")
+    with pytest.raises(InputError, match="104060401 at resolution 0.01"):
+        max_join_bound(4, 0.01, mode="full")
+    # Auto mode falls back to the symmetric reduction there.
+    assert max_join_bound(4) == max_join_bound(4, mode="symmetric")
+    assert max_join_bound(4, 0.001) == max_join_bound(4, mode="symmetric")
+    monkeypatch.undo()
+    # Below the limit auto mode still scans the full grid: 101^3 points.
+    assert 101**3 <= bounds.GRID_CANDIDATE_LIMIT
+    assert max_join_bound(3) == max_join_bound(3, mode="full")
+    assert max_join_bound(3) != max_join_bound(3, mode="symmetric")
 
 
 def test_tightness_instance_reference_values():

@@ -5,14 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sigmech.lp import (
-    GREATER,
-    LESS,
-    SPARSE_ROW,
-    LinearProgram,
-    solve,
-    violation_at,
-)
+from sigmech.lp import SPARSE_ROW, LinearProgram, solve, violation_at
 from sigmech.model import InputError, SolverError
 
 
@@ -52,20 +45,20 @@ def enumerate_vertices(lp):
 
 
 def test_single_variable_optimum():
-    lp = LinearProgram((1.0,), [[1.0]], (LESS,), (1.0,))
+    lp = LinearProgram((1.0,), [[-1.0]], (-1.0,))  # x <= 1
     sol = solve(lp, [])
-    assert sol.x == (1.0,)
+    assert sol.x.tolist() == [1.0]
     assert sol.objective_value == 1.0
 
 
 def test_unbounded_reported():
-    lp = LinearProgram((1.0,))
+    lp = LinearProgram((1.0,), np.zeros((0, 1)), ())
     with pytest.raises(SolverError, match="unbounded"):
         solve(lp, [])
 
 
 def test_two_variable_optimum_matches_vertex_enumeration():
-    lp = LinearProgram((1.0, 1.0), [[1.0, 2.0], [3.0, 1.0]], (LESS, LESS), (4.0, 6.0))
+    lp = LinearProgram((1.0, 1.0), [[-1.0, -2.0], [-3.0, -1.0]], (-4.0, -6.0))
     sol = solve(lp, [])
     assert sol.objective_value == pytest.approx(2.8, abs=1e-9)
     assert sol.x == pytest.approx((1.6, 1.2), abs=1e-9)
@@ -74,38 +67,58 @@ def test_two_variable_optimum_matches_vertex_enumeration():
 
 
 def test_equality_constraints_native():
-    lp = LinearProgram((1.0, 2.0, -1.0), [[1.0, -1.0, 0.0]], (GREATER,), (-0.5,), (0, 0, 0))
+    lp = LinearProgram((1.0, 2.0, -1.0), [[1.0, -1.0, 0.0]], (-0.5,), (0, 0, 0))
     sol = solve(lp, [2])  # x2 = 1 satisfies x0 - x1 >= -0.5
     oracle_value, _ = enumerate_vertices(lp)
     assert sol.objective_value == pytest.approx(oracle_value, abs=1e-8)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(InputError):
-        solve(LinearProgram((1.0,), [[1.0, 1.0]], (LESS,), (1.0,)), [])
-    with pytest.raises(InputError):
-        solve(LinearProgram((1.0, 0.0), [[1.0]], (LESS,), (1.0,)), [])
-    with pytest.raises(InputError):
-        solve(LinearProgram((1.0, 0.0), [[1.0, 0.0]], (LESS,), (1.0, 2.0)), [])
+    with pytest.raises(InputError, match="2 columns"):
+        LinearProgram((1.0, 0.0), [[1.0]], (1.0,))
+    with pytest.raises(InputError, match="1 columns"):
+        LinearProgram((1.0,), [[1.0, 1.0]], (1.0,))
+    with pytest.raises(InputError, match="right-hand sides"):
+        LinearProgram((1.0, 0.0), [[1.0, 0.0]], (1.0, 2.0))
+    with pytest.raises(InputError, match="right-hand sides"):
+        LinearProgram((1.0, 0.0), [[1.0, 0.0]], [[1.0]])
+    # Four entries fit two rows of two columns, but a matrix is 2-D.
+    with pytest.raises(InputError, match="2-D"):
+        LinearProgram((1.0, 0.0), [1.0, 0.0, 0.0, 1.0], (0.0, 0.0))
+    with pytest.raises(InputError, match="2-D"):
+        LinearProgram((1.0, 0.0), np.zeros((1, 1, 2)), (0.0,))
+    with pytest.raises(InputError, match="2-D"):
+        LinearProgram((1.0, 0.0), [], ())
+    with pytest.raises(InputError, match="objective"):
+        LinearProgram([[1.0, 0.0]], np.zeros((0, 2)), ())
+    with pytest.raises(InputError, match="objective"):
+        LinearProgram((), np.zeros((0, 0)), ())
+
+
+def test_solution_point_is_read_only():
+    x = solve(_simplex_lp(), [0]).x
+    assert isinstance(x, np.ndarray) and not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 1.0
 
 
 def test_iteration_cap_error_names_the_cap():
-    lp = LinearProgram((1.0, 1.0), [[1.0, 2.0], [3.0, 1.0]], (LESS, LESS), (4.0, 6.0))
+    lp = LinearProgram((1.0, 1.0), [[-1.0, -2.0], [-3.0, -1.0]], (-4.0, -6.0))
     with pytest.raises(SolverError, match="1 pivot"):
         solve(lp, [], _iteration_cap=1)
 
 
 def test_degenerate_cycling_instance_terminates():
-    # Beale's example: cycles under naive largest-coefficient pricing.
+    # Beale's example: cycles under naive largest-coefficient pricing.  Its
+    # three <= rows are written negated.
     lp = LinearProgram(
         (0.75, -150.0, 0.02, -6.0),
         [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
+            [-0.25, 60.0, 0.04, -9.0],
+            [-0.5, 90.0, 0.02, -3.0],
+            [0.0, 0.0, -1.0, 0.0],
         ],
-        (LESS, LESS, LESS),
-        (0.0, 0.0, 1.0),
+        (0.0, 0.0, -1.0),
     )
     sol = solve(lp, [])
     assert sol.objective_value == pytest.approx(0.05, abs=1e-9)
@@ -116,7 +129,7 @@ def _random_lp_with_start(rng, grouped=False):
 
     With groups, every column lies in one of them and the start point x0
     is 1 on one random member per group and zero elsewhere.  Every row
-    holds at x0 with random slack, and a last row sum(x) <= cap keeps
+    holds at x0 with random slack, and a last row -sum(x) >= -cap keeps
     the LP bounded.  A ``grouped`` LP has 4 to 6 columns in 1 to n // 2
     groups and 1 to 5 rows before the cap, so most groups have several
     members.  Returns (lp, basis).
@@ -139,14 +152,14 @@ def _random_lp_with_start(rng, grouped=False):
         groups[order[num_groups:]] = rng.integers(0, num_groups, n - num_groups)
         basis = np.array([rng.choice(np.flatnonzero(groups == g)) for g in range(num_groups)])
         x0[basis] = 1.0
-    relations = [LESS if rng.integers(0, 2) else GREATER for _ in range(m)]
-    matrix = rng.uniform(-2.0, 2.0, (m, n))
+    # Rows drawn as a x <= b (about half of them) are written -a x >= -b.
+    sign = np.array([-1.0 if rng.integers(0, 2) else 1.0 for _ in range(m)])
+    matrix = sign[:, None] * rng.uniform(-2.0, 2.0, (m, n))
     slack = rng.uniform(0.0, 1.5, m)
-    sign = np.array([{LESS: 1.0, GREATER: -1.0}[r] for r in relations])
-    rhs = matrix @ x0 + sign * slack
-    matrix = np.vstack([matrix, np.ones(n)])
-    rhs = np.append(rhs, x0.sum() + rng.uniform(0.5, 3.0))
-    lp = LinearProgram(rng.uniform(-2.0, 2.0, n), matrix, relations + [LESS], rhs, groups)
+    rhs = matrix @ x0 - slack
+    matrix = np.vstack([matrix, -np.ones(n)])
+    rhs = np.append(rhs, -(x0.sum() + rng.uniform(0.5, 3.0)))
+    lp = LinearProgram(rng.uniform(-2.0, 2.0, n), matrix, rhs, groups)
     return lp, basis
 
 
@@ -208,7 +221,7 @@ def test_solve_is_deterministic():
         lp, basis = _random_lp_with_start(rng)
         first = solve(lp, basis)
         second = solve(lp, basis)
-        assert first.x == second.x
+        assert first.x.tobytes() == second.x.tobytes()
         assert first.objective_value == second.objective_value
 
 
@@ -219,12 +232,8 @@ def test_reported_violation_matches_recomputation():
         sol = solve(lp, basis)
         recomputed = 0.0
         x = np.array(sol.x)
-        for coeffs, relation, rhs in zip(lp.matrix, lp.relations, lp.rhs):
-            lhs = float(np.dot(coeffs, x))
-            if relation == LESS:
-                recomputed = max(recomputed, lhs - rhs)
-            else:
-                recomputed = max(recomputed, rhs - lhs)
+        for coeffs, rhs in zip(lp.matrix, lp.rhs):
+            recomputed = max(recomputed, rhs - float(np.dot(coeffs, x)))
         for g in range(lp.num_groups):
             recomputed = max(recomputed, abs(float(x[lp.groups == g].sum()) - 1.0))
         recomputed = max(recomputed, float(-x.min()))
@@ -234,7 +243,7 @@ def test_reported_violation_matches_recomputation():
 
 def _simplex_lp():
     """max x0 + 2 x1 - x2 on the simplex x0 + x1 + x2 = 1 (one group), with x1 <= 0.6."""
-    return LinearProgram((1.0, 2.0, -1.0), [[0.0, 1.0, 0.0]], (LESS,), (0.6,), (0, 0, 0))
+    return LinearProgram((1.0, 2.0, -1.0), [[0.0, -1.0, 0.0]], (-0.6,), (0, 0, 0))
 
 
 def test_warm_start_matches_two_phase_and_vertex_enumeration():
@@ -248,11 +257,11 @@ def test_warm_start_matches_two_phase_and_vertex_enumeration():
 
 
 def test_warm_start_rejects_infeasible_and_misshapen_bases():
-    lp = LinearProgram((1.0, 2.0), [[0.0, 1.0]], (LESS,), (0.6,), (0, 1))
+    lp = LinearProgram((1.0, 2.0), [[0.0, -1.0]], (-0.6,), (0, 1))
     with pytest.raises(SolverError, match="infeasible"):
         solve(_simplex_lp(), basis=[1])  # x1 = 1 breaks x1 <= 0.6
     with pytest.raises(SolverError, match="infeasible"):  # all slacks: x = 0 breaks x >= 1
-        solve(LinearProgram((1.0,), [[1.0], [1.0]], (GREATER, LESS), (1.0, 2.0)), [])
+        solve(LinearProgram((1.0,), [[1.0], [-1.0]], (1.0, -2.0)), [])
     with pytest.raises(InputError):
         solve(lp, basis=[0])
     with pytest.raises(InputError):
@@ -260,7 +269,7 @@ def test_warm_start_rejects_infeasible_and_misshapen_bases():
 
 
 def test_solve_rejects_a_start_column_outside_its_group():
-    lp = LinearProgram((1.0, 2.0, 0.5), [[0.0, 1.0, 0.0]], (LESS,), (0.6,), (0, 0, 1))
+    lp = LinearProgram((1.0, 2.0, 0.5), [[0.0, -1.0, 0.0]], (-0.6,), (0, 0, 1))
     assert solve(lp, basis=[0, 2]).objective_value == pytest.approx(2.1, abs=1e-12)
     with pytest.raises(InputError, match="not a member of group 1"):
         solve(lp, basis=[0, 1])
@@ -269,18 +278,19 @@ def test_solve_rejects_a_start_column_outside_its_group():
 
 
 def test_violation_reports_group_sum_gap():
-    lp = LinearProgram((1.0, 1.0, 1.0), [[1.0, 0.0, 0.0]], (LESS,), (1.0,), (0, 0, 1))
+    lp = LinearProgram((1.0, 1.0, 1.0), [[-1.0, 0.0, 0.0]], (-1.0,), (0, 0, 1))
     assert violation_at(lp, (0.5, 0.4, 1.0)) == pytest.approx(0.1, abs=1e-15)
     assert violation_at(lp, (0.5, 0.5, 1.0)) == 0.0
 
 
 def test_malformed_groups_rejected():
+    no_rows = np.zeros((0, 3))
     with pytest.raises(InputError, match="3 integer group ids"):
-        LinearProgram((1.0, 1.0, 1.0), groups=(0, 1))
+        LinearProgram((1.0, 1.0, 1.0), no_rows, (), (0, 1))
     with pytest.raises(InputError, match="3 integer group ids"):
-        LinearProgram((1.0, 1.0, 1.0), groups=(0.0, 1.0, 1.0))
+        LinearProgram((1.0, 1.0, 1.0), no_rows, (), (0.0, 1.0, 1.0))
     with pytest.raises(InputError, match="nonnegative"):
-        LinearProgram((1.0, 1.0, 1.0), groups=(0, -1, 1))
+        LinearProgram((1.0, 1.0, 1.0), no_rows, (), (0, -1, 1))
 
 
 def _tableau_cases(rng):
@@ -324,7 +334,3 @@ def test_row_sparse_pivot_equals_dense_update():
         assert np.array_equal(tableau.T, dense)
         assert tableau.basis[row] == col
 
-
-def test_unknown_relation_rejected():
-    with pytest.raises(InputError, match="unknown relation"):
-        LinearProgram((1.0,), [[1.0]], ("<=x",), (1.0,))
