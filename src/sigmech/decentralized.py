@@ -107,7 +107,9 @@ def _join_on_one_strategy(
         posteriors = _signal_one_posteriors(system, mech)
         priority = sorted(range(num_locs), key=lambda k: (-posteriors[k], k))
     labels = mech.joint_signals()
-    ones = np.array(labels) == 1
+    # Signals are (0, 1) at every location, location 1 fastest: bit k of
+    # joint signal s is location k's signal.
+    ones = ((np.arange(len(labels))[:, None] >> np.arange(num_locs)) & 1).astype(bool)
     rank = np.argsort(priority)
     pick = np.argmin(np.where(ones, rank, num_locs), axis=1)
     action = np.where(ones.any(axis=1), pick + 1, 0)

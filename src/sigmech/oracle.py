@@ -4,9 +4,13 @@ mechanisms.
 
 Every signal's probability and posterior utilities are computed exactly,
 with no sampling, so these are the ground truth the solvers are tested
-against.  A decentralized mechanism is handled in product form, one
-location's table at a time, so its joint table over states x signals is
-never built; a centralized mechanism's table is used as given.
+against.  A decentralized mechanism is handled in product form, so its
+joint table over states x signals is never built.  On an independent
+prior every joint signal's probability and utility masses are products
+of per-location sums, so no array over the state space is built either;
+on a joint prior the mechanism is contracted one location's table at a
+time against the joint prior.  A centralized mechanism's table is used
+as given.
 
 The grid search scores one joint signal per candidate, not 2^K.  The
 customer acts on posteriors, not on signal names, so relabeling a
@@ -62,9 +66,14 @@ def _signal_masses(
 
     ``wins[k, s]`` is the prior-and-mechanism weighted utility of joining
     location k on signal s, so ``wins[k, s] / probs[s]`` is its posterior
-    utility.  A decentralized mechanism is contracted one location at a
-    time against the weight tensor ``[mu; mu*u_1; ...; mu*u_K]``, so its
-    dense joint table is never formed.
+    utility.  A decentralized mechanism's dense joint table is never
+    formed.  On an independent prior every joint signal's masses are
+    products of per-location sums: location k contributes
+    ``prior_k @ table_k`` to every row but its own utility row, which
+    gets ``(prior_k * u_k) @ table_k``, and one Kronecker chain over the
+    locations multiplies them out with location 1 fastest.  On a joint
+    prior the mechanism is contracted one location at a time against the
+    weight tensor ``[mu; mu*u_1; ...; mu*u_K]``.
     """
     if isinstance(mech, DecentralizedMechanism):
         if mech.num_locations != system.num_locations:
@@ -73,10 +82,21 @@ def _signal_masses(
                 f"{system.num_locations}"
             )
         for k, (part, size) in enumerate(zip(mech.parts, system.state_sizes)):
-            if part.table.shape[0] != size:
-                raise InputError(f"location {k} table has wrong state count")
-        # mu's axes run from the last location to the first (first fastest).
+            if part.table.shape != (size, len(part.signals)):
+                raise InputError(
+                    f"location {k} table shape {part.table.shape} does not match "
+                    f"{size} states x {len(part.signals)} signals"
+                )
         num_locs = system.num_locations
+        if system.joint is None:
+            masses = np.ones((num_locs + 1, 1))
+            for k, (loc, part) in enumerate(zip(system.locations, mech.parts)):
+                prior = loc.prior_array()
+                block = np.repeat((prior @ part.table)[None], num_locs + 1, axis=0)
+                block[k + 1] = (prior * loc.utility_array()) @ part.table
+                masses = (block[:, :, None] * masses[:, None, :]).reshape(num_locs + 1, -1)
+            return mech.joint_signals(), masses[0], masses[1:]
+        # mu's axes run from the last location to the first (first fastest).
         mu = system.joint_vector.reshape(system.state_sizes[::-1])
         weights = [mu]
         for k, loc in enumerate(system.locations):

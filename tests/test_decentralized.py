@@ -279,6 +279,40 @@ def test_heterogeneous_drops_useless_locations():
     assert report.value == pytest.approx(value, abs=1e-9)
 
 
+def _label_join_on_one(strategy, priority):
+    """Join-on-1 rows read off the joint signal labels: the first location
+    in ``priority`` among those signaling 1, leave on the all-zero signal."""
+    rows = np.zeros_like(strategy.table)
+    for row, label in enumerate(strategy.signals):
+        sending = [k for k in priority if label[k] == 1]
+        rows[row, sending[0] + 1 if sending else 0] = 1.0
+    return rows
+
+
+def test_join_on_one_rows_match_the_signal_labels():
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        system = random_independent_system(
+            rng, (1, 5), (2, 3), require_negative_mean=True, payoff_range=(0.0, 3.0)
+        )
+        mech, strategy, _ = compose_optimal(system)
+        posteriors = []
+        for loc, part in zip(system.locations, mech.parts):
+            mass = loc.prior_array() @ part.table[:, 1]
+            weighted = (loc.prior_array() * loc.utility_array()) @ part.table[:, 1]
+            posteriors.append(weighted / mass if mass > 1e-12 else -np.inf)
+        order = sorted(range(system.num_locations), key=lambda k: (-posteriors[k], k))
+        assert np.array_equal(strategy.table, _label_join_on_one(strategy, order))
+
+        _, strategy, _ = heterogeneous_compose(system)
+        kept = [k for k, loc in enumerate(system.locations)
+                if loc.payoff > 0.0
+                and any(q > 0.0 and h >= 0.0 for q, h in zip(loc.prior, loc.utility))]
+        order = sorted(kept, key=lambda k: (-system.locations[k].payoff, k))
+        order += [k for k in range(system.num_locations) if k not in kept]
+        assert np.array_equal(strategy.table, _label_join_on_one(strategy, order))
+
+
 def test_heterogeneous_requires_negative_mean_utility():
     system = SystemModel((location(p=0.8, name="sunny"),))
     with pytest.raises(PreconditionError, match="sunny"):

@@ -132,6 +132,21 @@ def test_shape_mismatch_rejected():
         evaluate(system, mech, bad)
 
 
+@pytest.mark.parametrize("joint", [False, True])
+def test_signal_table_width_must_match_its_signals(joint):
+    system = pair_system()
+    if joint:
+        system = SystemModel(system.locations, tuple(system.joint_vector))
+    good = LocationSignaling((0, 1), np.eye(2))
+    narrow = LocationSignaling((0, 1), np.ones((2, 1)))
+    mech = DecentralizedMechanism((good, narrow))
+    with pytest.raises(InputError, match="location 1 table shape"):
+        best_response(system, mech)
+    strategy = CustomerStrategy(tuple(mech.joint_signals()), np.eye(3)[[0, 1, 2, 0]])
+    with pytest.raises(InputError, match="location 1 table shape"):
+        evaluate(system, mech, strategy)
+
+
 def _dense_masses(system, mech):
     """Reference signal masses from the dense joint table sigma(s|w)."""
     mass = system.joint_vector[:, None] * mech.joint_table()
@@ -490,7 +505,7 @@ def _product_form_case(seed, joint):
     alphabet is strings.
     """
     rng = np.random.default_rng(seed)
-    sizes = [int(n) for n in rng.integers(1, 4, int(rng.integers(1, 4)))]
+    sizes = [int(n) for n in rng.integers(1, 4, int(rng.integers(1, 6)))]
     if joint:
         raw = rng.integers(0, 3, int(np.prod(sizes))).astype(float)
         raw[0] += 1.0
@@ -530,10 +545,18 @@ def _product_form_case(seed, joint):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), joint=st.booleans())
 def test_product_form_oracles_match_dense_reference(seed, joint):
-    """Contracted best response and evaluation equal the dense-table loops."""
+    """Product-form best response and evaluation equal the dense-table loops.
+
+    On an independent prior neither call builds the joint prior or the
+    state-by-location utility matrix.
+    """
     system, mech = _product_form_case(seed, joint)
-    labels, probs, wins = _dense_masses(system, mech)
     strategy = best_response(system, mech)
+    evaluate(system, mech, strategy)
+    if not joint:
+        assert "joint_vector" not in system.__dict__
+        assert "utility_matrix" not in system.__dict__
+    labels, probs, wins = _dense_masses(system, mech)
     assert list(strategy.signals) == labels
     assert np.array_equal(strategy.table, _reference_best_response(system, probs, wins))
 
