@@ -1,6 +1,7 @@
 """The paired-run verdict of tools/bench_pairs.py on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,15 @@ def test_median_gap_must_exceed_the_parent_iqr():
     assert verdict(PARENT, change, "lower", 0.25) == bench_pairs.GAIN
 
 
+def test_a_gain_needs_at_least_ten_pairs():
+    change = [v - 1.5 for v in PARENT]
+    assert bench_pairs.PAIRS == 10
+    assert verdict(PARENT[:1], change[:1], "lower", 0.25) == bench_pairs.NO_REGRESSION
+    assert verdict(PARENT[:9], change[:9], "lower", 0.25) == bench_pairs.NO_REGRESSION
+    # Two sets pooled are judged as one set of 20 pairs.
+    assert verdict(PARENT * 2, change * 2, "lower", 0.25) == bench_pairs.GAIN
+
+
 def test_more_failed_operations_void_a_gain():
     change = [v - 1.5 for v in PARENT]
     assert verdict(PARENT, change, "lower", 0.25, more_failures=True) == bench_pairs.NO_REGRESSION
@@ -77,3 +87,33 @@ def test_mismatched_runs_are_refused():
         verdict(PARENT, PARENT[:9], "lower", 0.25)
     with pytest.raises(ValueError):
         verdict(PARENT, PARENT, "faster", 0.25)
+
+
+def _checkout(root: Path, bound: float) -> Path:
+    (root / "perfbench" / "out").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "bound": bound}))
+    (root / "perfbench" / "run.py").write_text("print('run')\n")
+    return root
+
+
+def test_benchmark_files_skip_run_outputs(tmp_path):
+    root = _checkout(tmp_path, 0.25)
+    (root / "perfbench" / "out" / "run.json").write_text("{}")
+    (root / "perfbench" / "__pycache__").mkdir()
+    (root / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"\0")
+    assert sorted(bench_pairs.benchmark_files(root)) == ["BENCHMARK.json", "perfbench/run.py"]
+
+
+def test_checkouts_with_other_benchmark_files_are_refused(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", 0.25)
+    change = _checkout(tmp_path / "change", 0.5)  # a loosened bound
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(parent), str(change), "--out", str(out)])
+    assert "BENCHMARK.json" in capsys.readouterr().err
+    (change / "BENCHMARK.json").write_bytes((parent / "BENCHMARK.json").read_bytes())
+    (change / "perfbench" / "workloads.py").write_text("")
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(parent), str(change), "--out", str(out)])
+    assert "perfbench/workloads.py" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,20 +1,23 @@
 """Alternating parent/change pairs of the benchmark, with a verdict per metric.
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_topic.json \\
-        [--workloads verify-mix,large-lp,decentral-oracle] [--pairs 10] \\
-        [--seconds 30] [--first-seed 401] [--traced decentral-oracle] \\
-        [--claim decentral-oracle:instance_ms_p50]
+        [--workloads verify-mix,large-lp,decentral-oracle] [--first-seed 401] \\
+        [--traced decentral-oracle] [--claim decentral-oracle:instance_ms_p50]
 
-PARENT and CHANGE are two checkouts of the repository with identical
-``perfbench/`` files.  Pair i runs ``perfbench/run.py --workload W
---seed FIRST_SEED + i --seconds SECONDS --trace 0`` in each checkout,
-one after the other, the parent first in even pairs and the change
-first in odd ones.  Per workload and end-to-end metric of
-``BENCHMARK.json`` it prints each side's median and quartiles, the pairs
-the change won and the verdict of :func:`verdict`.  ``--traced`` adds one
-``--trace 1`` run per side of the named workloads, on the seed after the
-pairs'.  The JSON file is rewritten after every run, so an interrupted
-session keeps what it measured.
+PARENT and CHANGE are two checkouts of the repository.  Their
+``BENCHMARK.json`` and ``perfbench/`` files must be byte-identical, or
+the script refuses to run; the metrics, their bounds, the workloads
+(all of them unless ``--workloads`` names some) and the run length
+``run_seconds`` are read from the parent's ``BENCHMARK.json``.  Pair i
+of ``PAIRS`` runs ``perfbench/run.py --workload W --seed FIRST_SEED + i
+--seconds RUN_SECONDS --trace 0`` in each checkout, one after the
+other, the parent first in even pairs and the change first in odd
+ones.  Per workload and end-to-end metric it prints each side's median
+and quartiles, the pairs the change won and the verdict of
+:func:`verdict`.  ``--traced`` adds one ``--trace 1`` run per side of
+the named workloads, on the seed after the pairs'.  The JSON file is
+rewritten after every run, so an interrupted session keeps what it
+measured.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ GAIN = "gain"
 NO_REGRESSION = "no regression"
 REGRESSION = "regression"
 UNRESOLVED = "unresolved"
+
+PAIRS = 10  # pairs per workload, and the fewest a gain may rest on
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -55,14 +60,15 @@ def verdict(
 ) -> str:
     """Verdict on one metric from paired runs (``parent[i]`` with ``change[i]``).
 
-    ``gain``: the change is better in at least nine tenths of the pairs
-    (ties count for neither side) and its median is better than the
-    parent's by more than the parent's interquartile range, and it failed
-    no more operations than the parent.  Otherwise ``regression`` when
-    its median is worse than the parent's by more than ``bound`` times
-    the parent's median; ``unresolved`` when either side's interquartile
-    range is wider than that, unless every change run is better than
-    every parent run; else ``no regression``.
+    ``gain``: there are at least ``PAIRS`` pairs, the change is better in
+    at least nine tenths of them (ties count for neither side), its
+    median is better than the parent's by more than the parent's
+    interquartile range, and it failed no more operations than the
+    parent.  Otherwise ``regression`` when its median is worse than the
+    parent's by more than ``bound`` times the parent's median;
+    ``unresolved`` when either side's interquartile range is wider than
+    that, unless every change run is better than every parent run; else
+    ``no regression``.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("verdict needs the same positive number of runs on each side")
@@ -73,7 +79,8 @@ def verdict(
     c_q1, c_median, c_q3 = quartiles(change)
     gained = sign * (c_median - p_median)
     won = pairs_won(parent, change, better)
-    if 10 * won >= 9 * len(parent) and gained > p_q3 - p_q1 and not more_failures:
+    if (len(parent) >= PAIRS and 10 * won >= 9 * len(parent) and gained > p_q3 - p_q1
+            and not more_failures):
         return GAIN
     allowed = bound * abs(p_median)
     if -gained > allowed:
@@ -150,33 +157,50 @@ def _environment(result: dict) -> dict:
     return {key: env.get(key) for key in keys}
 
 
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and every ``perfbench/`` file but the run's
+    outputs (``out/``) and bytecode (``__pycache__/``), by relative path."""
+    files = {"BENCHMARK.json": (checkout / "BENCHMARK.json").read_bytes()}
+    for path in sorted((checkout / "perfbench").rglob("*")):
+        rel = path.relative_to(checkout)
+        if path.is_file() and not {"out", "__pycache__"} & set(rel.parts[1:-1]):
+            files[rel.as_posix()] = path.read_bytes()
+    return files
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", default="verify-mix,large-lp,decentral-oracle")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workloads", default="",
+                        help="comma-separated; default every workload of BENCHMARK.json")
     parser.add_argument("--first-seed", type=int, default=401)
     parser.add_argument("--traced", default="", help="workloads given one traced run per side")
     parser.add_argument("--claim", default="", help="WORKLOAD:METRIC the change claims")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    workloads = [w for w in args.workloads.split(",") if w]
+    parent_files = benchmark_files(args.parent)
+    change_files = benchmark_files(args.change)
+    differ = sorted(name for name in parent_files.keys() | change_files.keys()
+                    if parent_files.get(name) != change_files.get(name))
+    if differ:
+        parser.error("the checkouts' benchmark files differ: " + ", ".join(differ))
+    bench = json.loads(parent_files["BENCHMARK.json"])
+    seconds = bench["run_seconds"]
+    metrics = bench["end_to_end"]
+    workloads = [w for w in args.workloads.split(",") if w] or [
+        w["name"] for w in bench["workloads"]]
     traced = [w for w in args.traced.split(",") if w]
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     claim = args.claim.split(":") if args.claim else None
     if claim and (len(claim) != 2 or claim[0] not in workloads
                   or claim[1] not in [spec["name"] for spec in metrics]):
         parser.error("--claim must be WORKLOAD:METRIC with a workload of --workloads "
                      "and an end-to-end metric of BENCHMARK.json")
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     doc = {
         "command": "python3 perfbench/run.py --workload <name> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "protocol": f"{args.pairs} pairs per workload, seeds {seeds[0]}-{seeds[-1]}; each pair "
+                   f"--seconds {seconds:g} --trace 0",
+        "protocol": f"{PAIRS} pairs per workload, seeds {seeds[0]}-{seeds[-1]}; each pair "
                     "runs the parent and the change one after the other from their own "
                     "checkouts, the parent first in even pairs and the change first in odd "
                     "ones; workloads run one after the other in the order listed",
@@ -195,7 +219,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_side(checkouts[side], workload, seed, args.seconds, 0)
+                result = run_side(checkouts[side], workload, seed, seconds, 0)
                 doc["environment"].setdefault(side, _environment(result))
                 runs[side].append(result)
             runs["seeds"].append(seed)
@@ -207,10 +231,10 @@ def main(argv=None) -> int:
     for workload in traced:
         doc["traced"][workload] = {
             "command": "python3 perfbench/run.py --workload "
-                       f"{workload} --seed {trace_seed} --seconds {args.seconds:g} --trace 1",
+                       f"{workload} --seed {trace_seed} --seconds {seconds:g} --trace 1",
         }
         for side in ("parent", "change"):
-            result = run_side(checkouts[side], workload, trace_seed, args.seconds, 1)
+            result = run_side(checkouts[side], workload, trace_seed, seconds, 1)
             doc["traced"][workload][side] = {
                 name: round(m["value"], 6) for name, m in result["metrics"].items()
             }
