@@ -276,6 +276,8 @@ def lp_orbits(system: SystemModel) -> Orbits:
     canonical = index.copy()
     for members in classes:
         canonical[:, members] = np.sort(index[:, members], axis=1)
+    # The same keys as np.ravel_multi_index(canonical.T, sizes, order="F"),
+    # which checks bounds and takes 1.5-3x as long.
     strides = np.cumprod((1,) + system.state_sizes[:-1])
     state_orbit, states = _number(canonical @ strides, num_states)
 

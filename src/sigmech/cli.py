@@ -3,10 +3,11 @@ verify the guarantee suites on random instances, and sweep the bound
 constants to CSV.
 
 Exit codes: 0 success, 1 verify-suite failure, 2 any invalid argument or
-instance (parse or validation error), 3 precondition error (e.g.
-payoff-weighted mode without negative prior-mean utilities, or
-decentralized mode on a joint-prior instance without --fallback), 4 LP
-solver failure; under ``verify`` the offending instance is printed too.
+instance (parse or validation error) or an instance too large for the
+available memory, 3 precondition error (e.g. payoff-weighted mode
+without negative prior-mean utilities, or decentralized mode on a
+joint-prior instance without --fallback), 4 LP solver failure; under
+``verify`` the offending instance is printed too.
 """
 
 from __future__ import annotations
@@ -158,8 +159,9 @@ def _decentralized_lines(system: SystemModel, mech: DecentralizedMechanism) -> l
 class _Main(click.Group):
     """Command group that reports the library's typed errors as one
     ``error:`` line on stderr and an exit code: 3 for a failed
-    precondition, 2 for any other invalid input, 4 for a solver failure
-    (followed by the offending instance when ``verify`` attached one)."""
+    precondition, 2 for any other invalid input or for running out of
+    memory, 4 for a solver failure (followed by the offending instance
+    when ``verify`` attached one)."""
 
     def invoke(self, ctx):
         try:
@@ -173,6 +175,8 @@ class _Main(click.Group):
             if getattr(err, "instance", None) is not None:
                 message += "\noffending instance:\n" + format_instance(err.instance)
             _fail(message, 4)
+        except MemoryError as err:
+            _fail(f"out of memory: {err}", 2)
 
 
 @click.group(cls=_Main)

@@ -26,6 +26,7 @@ from .model import (
     SystemModel,
     binary_mechanism,
     require_valid,
+    state_indices,
 )
 
 CONDITION_I = "condition_i"
@@ -109,7 +110,7 @@ def _join_on_one_strategy(
     labels = mech.joint_signals()
     # Signals are (0, 1) at every location, location 1 fastest: bit k of
     # joint signal s is location k's signal.
-    ones = ((np.arange(len(labels))[:, None] >> np.arange(num_locs)) & 1).astype(bool)
+    ones = state_indices((2,) * num_locs).astype(bool)
     rank = np.argsort(priority)
     pick = np.argmin(np.where(ones, rank, num_locs), axis=1)
     action = np.where(ones.any(axis=1), pick + 1, 0)
@@ -243,9 +244,8 @@ def correlated_fallback(
     mass = recommended.sum(axis=0)
     pick = int(np.flatnonzero(mass >= mass.max() - oracle.TIE_TOL)[0])
 
-    numer = np.zeros(system.locations[pick].num_states)
-    np.add.at(numer, system.state_index_matrix[:, pick], recommended[:, pick])
     denom = system.marginal(pick)
+    numer = np.bincount(system.state_index_matrix[:, pick], recommended[:, pick], denom.size)
     ones = np.zeros(numer.size)
     positive = denom > 0.0
     ones[positive] = np.clip(numer[positive] / denom[positive], 0.0, 1.0)

@@ -21,8 +21,8 @@ from .model import (
     SolverError,
     SystemModel,
     joint_index,
-    joint_tuples,
     require_valid,
+    state_indices,
 )
 
 
@@ -135,19 +135,15 @@ def format_instance(system: SystemModel) -> str:
         ]
     }
     if system.joint is not None:
-        entries = []
-        for flat, idxs in enumerate(joint_tuples(system.state_sizes)):
-            prob = system.joint[flat]
-            if prob != 0.0:
-                entries.append(
-                    {
-                        "state": [
-                            loc.states[i] for loc, i in zip(system.locations, idxs)
-                        ],
-                        "prob": prob,
-                    }
-                )
-        doc["joint_prior"] = entries
+        flats = np.flatnonzero(system.joint)
+        tuples = np.unravel_index(flats, system.state_sizes, order="F")
+        doc["joint_prior"] = [
+            {
+                "state": [loc.states[i] for loc, i in zip(system.locations, idxs)],
+                "prob": system.joint[flat],
+            }
+            for flat, idxs in zip(flats, zip(*tuples))
+        ]
     return json.dumps(doc, indent=2)
 
 
@@ -231,11 +227,10 @@ def random_joint_system(
     raw = rng.uniform(0.0, 1.0, math.prod(sizes))
     table = raw / raw.sum()
 
-    index_matrix = np.array(list(joint_tuples(sizes)), dtype=int)
+    index_matrix = state_indices(sizes)
     locations = []
     for k in range(num_locations):
-        marginal = np.zeros(states)
-        np.add.at(marginal, index_matrix[:, k], table)
+        marginal = np.bincount(index_matrix[:, k], table, states)
         utility = _random_utilities(rng, states, False, marginal)
         locations.append(
             LocationModel(

@@ -9,7 +9,11 @@ actions given signals (action 0 means "leave").
 State tuples are enumerated in mixed-radix order with the first
 location's index varying fastest, and every table in the package
 indexes states and joint signals in that order, so solvers and oracles
-agree bit-exactly on layouts.
+agree bit-exactly on layouts.  That order is numpy's Fortran order:
+:func:`state_indices` lists the tuples, ``np.ravel_multi_index`` and
+``np.unravel_index`` with ``order="F"`` convert between tuples and flat
+indices, and :func:`kron_rows` multiplies per-location tables out into
+joint ones.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -55,30 +59,20 @@ def joint_index(sizes: Sequence[int], idxs: Sequence[int]) -> int:
     return flat
 
 
-def joint_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All index tuples in mixed-radix order, first coordinate fastest."""
-    total = math.prod(sizes)
-    for flat in range(total):
-        rem = flat
-        out = []
-        for size in sizes:
-            out.append(rem % size)
-            rem //= size
-        yield tuple(out)
+def state_indices(sizes: Sequence[int]) -> np.ndarray:
+    """(prod(sizes), K) int matrix of all index tuples, first coordinate fastest."""
+    return np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes, order="F"), axis=1)
 
 
-def _kron_chain(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product with the first block's indices varying fastest.
+def kron_rows(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-by-row Kronecker product of 2-D blocks with equal row counts.
 
-    Each step is ``np.kron(block, out)``, written as an outer product with
-    its axes interleaved: the same products at a fraction of the overhead.
+    Row r is ``np.kron(blocks[-1][r], ... np.kron(blocks[1][r], blocks[0][r]))``:
+    the first block's columns vary fastest.
     """
-    out = np.ones((1,) * blocks[0].ndim) if blocks else np.ones(1)
-    for block in blocks:
-        nd = block.ndim
-        interleaved = [axis for pair in zip(range(nd), range(nd, 2 * nd)) for axis in pair]
-        shape = [a * b for a, b in zip(block.shape, out.shape)]
-        out = np.multiply.outer(block, out).transpose(interleaved).reshape(shape)
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = (block[:, :, None] * out[:, None, :]).reshape(len(out), -1)
     return out
 
 
@@ -181,14 +175,12 @@ class SystemModel:
         """Dense joint prior over all state tuples in mixed-radix order."""
         if self.joint is not None:
             return _readonly(self.joint)
-        return _readonly(_kron_chain([loc.prior_array() for loc in self.locations]))
+        return _readonly(kron_rows([loc.prior_array()[None] for loc in self.locations])[0])
 
     @cached_property
     def state_index_matrix(self) -> np.ndarray:
         """(state_count, K) int matrix of per-location state indices."""
-        sizes = np.array(self.state_sizes)
-        strides = np.cumprod(np.concatenate([[1], sizes[:-1]]))
-        mat = np.arange(self.state_count)[:, None] // strides % sizes
+        mat = state_indices(self.state_sizes)
         mat.flags.writeable = False
         return mat
 
@@ -207,8 +199,7 @@ class SystemModel:
         """
         tensor = None
         if self.joint is not None:
-            tensor = self.joint_vector.reshape(self.state_sizes[::-1])
-        last_axis = self.num_locations - 1  # location k is tensor axis last_axis - k
+            tensor = self.joint_vector.reshape(self.state_sizes, order="F")
 
         def alike(k: int, other: int) -> bool:
             a, b = self.locations[k], self.locations[other]
@@ -216,7 +207,7 @@ class SystemModel:
                 return False
             if tensor is None:
                 return True
-            swapped = np.swapaxes(tensor, last_axis - k, last_axis - other)
+            swapped = np.swapaxes(tensor, k, other)
             return bool(np.array_equal(tensor, swapped))
 
         classes: list[list[int]] = []
@@ -239,11 +230,8 @@ class SystemModel:
 
     def marginal(self, k: int) -> np.ndarray:
         """Marginal of location k computed from the joint prior."""
-        vec = self.joint_vector
-        idx = self.state_index_matrix[:, k]
-        out = np.zeros(self.locations[k].num_states)
-        np.add.at(out, idx, vec)
-        return out
+        index = self.state_index_matrix[:, k]
+        return np.bincount(index, self.joint_vector, self.locations[k].num_states)
 
 
 def joint_prior(system: SystemModel, state: Sequence[int]) -> float:
@@ -391,7 +379,9 @@ class DecentralizedMechanism:
 
     def joint_table(self) -> np.ndarray:
         """Induced sigma(s|w) table over joint states and joint signals."""
-        return _kron_chain([part.table for part in self.parts])
+        # A plain np.kron fold, apart from kron_rows: the oracle tests use it
+        # as their dense reference.
+        return reduce(lambda out, part: np.kron(part.table, out), self.parts, np.ones((1, 1)))
 
     def to_centralized(self) -> CentralizedMechanism:
         return CentralizedMechanism(tuple(self.joint_signals()), self.joint_table())
@@ -399,7 +389,11 @@ class DecentralizedMechanism:
     def violations(self) -> list[str]:
         problems = []
         for k, part in enumerate(self.parts):
-            problems += _row_stochastic_problems(part.table, f"location {k} table")
+            what = f"location {k} table"
+            if part.table.ndim == 2 and part.table.shape[1] == len(part.signals):
+                problems += _row_stochastic_problems(part.table, what)
+            else:
+                problems.append(f"{what}: shape {part.table.shape} for {len(part.signals)} signals")
         return problems
 
 

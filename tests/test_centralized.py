@@ -27,7 +27,7 @@ from sigmech.centralized import (
 from sigmech.decentralized import compose_optimal
 from sigmech.instances import random_independent_system, random_joint_system
 from sigmech.lp import FEAS_TOL, solve, violation_at
-from sigmech.model import LocationModel, SystemModel, joint_tuples
+from sigmech.model import LocationModel, SystemModel, state_indices
 from sigmech.oracle import best_response, evaluate, full_information, no_information
 
 
@@ -545,7 +545,7 @@ def _symmetric_system(seed: int, joint: bool, payoffs: bool) -> tuple[SystemMode
     state_sizes = [kinds[c][0] for c in owner]
     table = None
     if joint:
-        index = np.array(list(joint_tuples(state_sizes)))
+        index = state_indices(state_sizes)
         canonical = index.copy()
         for c in range(len(sizes)):
             members = np.flatnonzero(owner == c)

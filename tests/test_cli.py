@@ -338,6 +338,21 @@ def test_solver_error_exits_4_with_one_line(runner, example_path, monkeypatch):
     assert isinstance(result.exception, SystemExit)  # no SolverError traceback
 
 
+def test_out_of_memory_exits_2_with_one_line(runner, monkeypatch):
+    from sigmech import centralized
+
+    def failing_lp(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.26 GiB for an array with shape (272, 1114112)")
+
+    monkeypatch.setattr(centralized, "obedience_lp", failing_lp)
+    result = runner.invoke(main, ["sweep", "tightness", "--K", "3..3", "--X", "10"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: out of memory: Unable to allocate 2.26 GiB for an array with shape (272, 1114112)"
+    ]
+    assert isinstance(result.exception, SystemExit)  # no MemoryError traceback
+
+
 def test_verify_independent_bound_k6_passes(runner):
     result = runner.invoke(
         main, ["--seed", "0", "verify", "independent-bound", "--K", "6..6", "--trials", "5"]

@@ -384,10 +384,10 @@ def test_fallback_on_correlated_worst_case():
 
     # canonical optimal mechanism: recommend the good location, else the ok one
     from sigmech.centralized import obedient_strategy
-    from sigmech.model import joint_tuples
+    from sigmech.model import state_indices
 
     table = np.zeros((9, 3))
-    for flat, idx in enumerate(joint_tuples((3, 3))):
+    for flat, idx in enumerate(state_indices((3, 3)).tolist()):
         if 0 in idx:
             table[flat, idx.index(0) + 1] = 1.0
         elif 1 in idx:

@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmech.bounds import make_correlated_instance, make_tightness_instance
+from sigmech.instances import random_joint_system
 from sigmech.model import (
     CustomerStrategy,
+    DecentralizedMechanism,
     InputError,
     LocationModel,
+    LocationSignaling,
     SystemModel,
     binary_mechanism,
     joint_index,
     joint_prior,
-    joint_tuples,
+    kron_rows,
+    state_indices,
     validate,
 )
 
@@ -65,11 +69,13 @@ def test_joint_prior_rejects_out_of_range_indices():
 
 
 def test_mixed_radix_order_first_location_fastest():
-    tuples = list(joint_tuples((2, 3)))
-    assert tuples[:3] == [(0, 0), (1, 0), (0, 1)]
-    assert len(tuples) == 6
+    tuples = state_indices((2, 3))
+    assert tuples.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1], [0, 2], [1, 2]]
     for flat, idx in enumerate(tuples):
         assert joint_index((2, 3), idx) == flat
+    for flat, idx in enumerate(state_indices((3, 1, 2, 4))):
+        assert joint_index((3, 1, 2, 4), idx) == flat
+    assert state_indices((5,)).tolist() == [[0], [1], [2], [3], [4]]
 
 
 def test_validate_well_formed_instance_is_clean():
@@ -138,23 +144,41 @@ def test_independent_joint_vector_sums_to_one(priors):
     assert validate(system) == []
     vec = system.joint_vector
     assert abs(float(vec.sum()) - 1.0) <= 1e-9 * system.state_count
-    for flat, idx in enumerate(joint_tuples(system.state_sizes)):
+    for flat, idx in enumerate(state_indices(system.state_sizes)):
         assert vec[flat] == pytest.approx(joint_prior(system, idx), abs=1e-15)
-    assert system.state_index_matrix.tolist() == [list(t) for t in joint_tuples(system.state_sizes)]
+    assert np.array_equal(system.state_index_matrix, state_indices(system.state_sizes))
 
 
-def test_kron_chain_equals_numpy_kron_bit_for_bit():
-    from sigmech.model import _kron_chain
-
+def test_kron_rows_equals_numpy_kron_bit_for_bit():
     rng = np.random.default_rng(7)
-    for ndim in (1, 2):
-        for count in (1, 2, 3, 5):
-            blocks = [rng.uniform(size=tuple(rng.integers(1, 4, ndim))) for _ in range(count)]
-            expected = np.ones((1,) * ndim)
-            for block in blocks:
-                expected = np.kron(block, expected)
-            got = _kron_chain(blocks)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    for rows in (1, 3):
+        for count in range(1, 6):
+            blocks = [rng.uniform(size=(rows, rng.integers(1, 4))) for _ in range(count)]
+            got = kron_rows(blocks)
+            for r in range(rows):
+                expected = np.ones(1)
+                for block in blocks:
+                    expected = np.kron(block[r], expected)
+                assert got[r].tobytes() == expected.tobytes()
+            assert got.shape == (rows, math.prod(block.shape[1] for block in blocks))
+
+
+def test_marginals_equal_a_sequential_sum_bit_for_bit():
+    # np.bincount adds in index order, as np.add.at does.
+    def reference(index, weights, size):
+        out = np.zeros(size)
+        np.add.at(out, index, weights)
+        return out
+
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        system = random_joint_system(rng, 2 + trial % 4, 2 + trial % 2)
+        index = state_indices(system.state_sizes)
+        joint = np.asarray(system.joint)
+        for k, loc in enumerate(system.locations):
+            expected = reference(index[:, k], joint, loc.num_states)
+            assert system.marginal(k).tobytes() == expected.tobytes()
+            assert loc.prior_array().tobytes() == expected.tobytes()
 
 
 def test_location_classes_group_interchangeable_locations():
@@ -194,6 +218,19 @@ def test_centralized_mechanism_clamps_tiny_negatives():
     assert clamped.violations() == []
     bad = CentralizedMechanism((0, 1), [[1.1, -0.1]])
     assert bad.violations()
+
+
+def test_decentralized_violations_report_tables_of_the_wrong_width():
+    assert binary_mechanism([[0.5, 0.5], [0.2, 0.9]]).violations() == []
+    narrow = LocationSignaling((0, 1), np.ones((2, 1)))
+    flat = LocationSignaling((0, 1), np.array([0.5, 0.5]))
+    good = binary_mechanism([[0.5, 0.5]]).parts[0]
+    problems = DecentralizedMechanism((good, narrow, flat)).violations()
+    assert len(problems) == 2
+    assert problems == [
+        "location 1 table: shape (2, 1) for 2 signals",
+        "location 2 table: shape (2,) for 2 signals",
+    ]
 
 
 def test_class_fd_flag_checks_structure():
