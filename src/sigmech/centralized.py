@@ -12,8 +12,8 @@ and Joswig, Math. Prog. 2013).  ``solve_centralized`` therefore solves
 the LP over orbits (:func:`orbit_lp`): one column per orbit of (state,
 action) pairs, one column group per orbit of states and one matrix row
 per orbit of rows.  It then spreads each orbit's value evenly over its
-members.  With no two locations alike every orbit is a single column or
-row, and the orbit LP is the full LP itself.
+members.  With no two locations alike every orbit would be a single
+column or row, so it solves the full LP directly.
 
 The simplex starts from a vertex known to be feasible
 (:func:`priority_start`).  When no location is worth joining on the
@@ -98,16 +98,10 @@ def uninformative_start(
     following beats leaving and every location outside the class.  With
     a* alone in its class the start is x(w, a*).
     """
-    means = mu @ util
-    return _best_mean_start(means, int(np.argmax(means)), util, classes)
-
-
-def _best_mean_start(
-    means: np.ndarray, best: int, util: np.ndarray, classes: tuple[tuple[int, ...], ...]
-) -> np.ndarray:
-    """:func:`uninformative_start` from the prior means and their argmax ``best``."""
     num_states, num_locs = util.shape
     first = np.arange(num_states) * (num_locs + 1)
+    means = mu @ util
+    best = int(np.argmax(means))
     if means[best] <= 0.0:
         return first
     members = np.array(next((c for c in classes if best in c), (best,)))
@@ -154,10 +148,8 @@ def priority_start(
     at one state of every orbit, so that start is feasible as well.
     (Under equal weights every tie-break is obedient state by state.)
     """
-    means = mu @ util
-    best = int(means.argmax())
-    if means[best] > 0.0:
-        return _best_mean_start(means, best, util, classes)
+    if (mu @ util).max() > 0.0:
+        return uninformative_start(mu, util, classes)
     num_states, num_locs = util.shape
     first = np.arange(num_states) * (num_locs + 1)
     if weights is None:
@@ -256,17 +248,6 @@ def lp_orbits(system: SystemModel) -> Orbits:
     classes = system.location_classes
     num_locs = system.num_locations
     num_states = system.state_count
-    if len(classes) == num_locs:
-        # The identity, without the array work below, which costs about
-        # 0.2-0.4 ms: as much as a whole solve of a small LP.
-        columns = np.arange(num_states * (num_locs + 1))
-        return Orbits(
-            columns,
-            np.ones(columns.size, dtype=int),
-            columns // (num_locs + 1),
-            np.arange(num_states),
-            np.arange(num_locs * (num_locs + 1)),
-        )
     class_of = [0] * num_locs
     for c, members in enumerate(classes):
         for k in members:
@@ -310,10 +291,8 @@ def orbit_lp(lp: LinearProgram, orbits: Orbits) -> LinearProgram:
     row are the sums over its members divided by its multiplicity.  A
     point constant on orbits meets every row of an orbit as it meets
     the first, so this LP and the full LP have the same optimum.  With
-    every orbit a single column the orbit LP is ``lp`` itself.
+    every orbit a single column or row it holds ``lp``'s arrays unchanged.
     """
-    if orbits.multiplicity.size == lp.n_vars:
-        return lp  # every orbit is a single column, so also a single row
     order = np.argsort(orbits.columns, kind="stable")  # the members of orbit 0, 1, ...
     sizes = np.bincount(orbits.columns)
     starts = np.cumsum(sizes) - sizes
@@ -335,23 +314,27 @@ def solve_centralized(
 ) -> tuple[CentralizedMechanism, EvaluationReport]:
     """Optimal direct mechanism and its evaluation under obedience.
 
-    Builds the full LP, solves it over orbits of interchangeable
-    locations (:func:`orbit_lp`) and spreads each orbit's value evenly
-    over its members.  The simplex starts from the payoff-priority
+    Builds the full LP.  With interchangeable locations it solves the LP
+    over their orbits (:func:`orbit_lp`) and spreads each orbit's value
+    evenly over its members; with no two locations alike it solves the
+    full LP.  The simplex starts from the payoff-priority
     recommendation, with ties broken by class (see
     :func:`priority_start`), which is always feasible.  The report's
     throughput (unweighted) or value (weighted) matches the LP optimum.
     """
     lp = build_centralized_lp(system, weighted)
-    orbits = lp_orbits(system)
     start = priority_start(
         system.joint_vector,
         system.utility_matrix,
         np.asarray(system.payoffs) if weighted else None,
         system.location_classes,
     )
-    solution = solve(orbit_lp(lp, orbits), orbits.columns[start[orbits.states]])
-    x = (solution.x / orbits.multiplicity)[orbits.columns]
+    if len(system.location_classes) == system.num_locations:
+        x = solve(lp, start).x
+    else:
+        orbits = lp_orbits(system)
+        solution = solve(orbit_lp(lp, orbits), orbits.columns[start[orbits.states]])
+        x = (solution.x / orbits.multiplicity)[orbits.columns]
     num_actions = system.num_locations + 1
     table = x.reshape(system.state_count, num_actions)
     mech = CentralizedMechanism(tuple(range(num_actions)), table)

@@ -240,10 +240,6 @@ def solve(ctx, instance, mode, fallback, summary_here):
         )))
         tables = _decentralized_lines(system, mech)
     elif mode == "heterogeneous":
-        if system.prior_mode == "joint":
-            raise PreconditionError(
-                "heterogeneous mode needs an independent-prior instance"
-            )
         mech, strategy, value = decentralized.heterogeneous_compose(system)
         report = oracle.evaluate(system, mech, strategy)
         lines.append(_line("Val", value))
@@ -434,7 +430,7 @@ def verify(ctx, suite, k_range, x_list, trials, seed_override):
 def _random_join_on_one(rng, system, mech) -> CustomerStrategy:
     """Random strategy that joins a uniformly drawn location among those
     signaling 1 and leaves only on the all-zero vector."""
-    labels = mech.joint_signals()
+    labels = mech.joint_signals
     rows = np.zeros((len(labels), system.num_locations + 1))
     for row, u in enumerate(labels):
         ones = [k for k, bit in enumerate(u) if bit == 1]
@@ -442,7 +438,7 @@ def _random_join_on_one(rng, system, mech) -> CustomerStrategy:
             rows[row, 0] = 1.0
         else:
             rows[row, int(rng.choice(ones)) + 1] = 1.0
-    return CustomerStrategy(tuple(labels), rows, class_fd=True)
+    return CustomerStrategy(labels, rows, class_fd=True)
 
 
 @main.command()

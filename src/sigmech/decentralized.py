@@ -79,35 +79,17 @@ def solve_isolated(location: LocationModel) -> IsolatedSolution:
     return IsolatedSolution(part, solution.objective_value)
 
 
-def _signal_one_posteriors(system: SystemModel, mech: DecentralizedMechanism) -> np.ndarray:
-    """Posterior utility of each location given its own signal 1 (-inf if unsent)."""
-    out = np.full(system.num_locations, -math.inf)
-    for k, (loc, part) in enumerate(zip(system.locations, mech.parts)):
-        mass = float(np.dot(loc.prior_array(), part.table[:, 1]))
-        if mass > ZERO_MASS:
-            out[k] = float(
-                np.dot(loc.prior_array() * loc.utility_array(), part.table[:, 1]) / mass
-            )
-    return out
-
-
 def _join_on_one_strategy(
-    system: SystemModel,
-    mech: DecentralizedMechanism,
-    priority: list[int] | None = None,
+    system: SystemModel, mech: DecentralizedMechanism, priority: list[int]
 ) -> CustomerStrategy:
     """Deterministic join-on-1 strategy over the binary joint signal space.
 
-    On each nonzero signal vector the customer joins, among locations
-    signaling 1, one maximizing the signal-1 posterior utility (smallest
-    index on ties); an explicit ``priority`` order overrides that
-    selection.  The all-zero vector maps to leaving.
+    On each nonzero signal vector the customer joins the first location
+    in ``priority`` among those signaling 1.  The all-zero vector maps to
+    leaving.
     """
     num_locs = system.num_locations
-    if priority is None:
-        posteriors = _signal_one_posteriors(system, mech)
-        priority = sorted(range(num_locs), key=lambda k: (-posteriors[k], k))
-    labels = mech.joint_signals()
+    labels = mech.joint_signals
     # Signals are (0, 1) at every location, location 1 fastest: bit k of
     # joint signal s is location k's signal.
     ones = state_indices((2,) * num_locs).astype(bool)
@@ -116,7 +98,7 @@ def _join_on_one_strategy(
     action = np.where(ones.any(axis=1), pick + 1, 0)
     rows = np.zeros((len(labels), num_locs + 1))
     rows[np.arange(len(labels)), action] = 1.0
-    return CustomerStrategy(tuple(labels), rows, class_fd=True)
+    return CustomerStrategy(labels, rows, class_fd=True)
 
 
 def compose_optimal(
@@ -125,7 +107,9 @@ def compose_optimal(
     """Optimal decentralized mechanism for an independent system.
 
     Solves each location in isolation and takes the product mechanism;
-    the throughput is 1 - prod_k (1 - th_iso_k).
+    the throughput is 1 - prod_k (1 - th_iso_k).  The customer joins,
+    among locations signaling 1, one with the largest posterior utility
+    given its own signal 1 (smallest index on ties).
     """
     require_valid(system)
     if system.prior_mode != "independent":
@@ -135,7 +119,14 @@ def compose_optimal(
         )
     solutions = [solve_isolated(loc) for loc in system.locations]
     mech = DecentralizedMechanism(tuple(sol.mechanism for sol in solutions))
-    strategy = _join_on_one_strategy(system, mech)
+    posteriors = []
+    for loc, part in zip(system.locations, mech.parts):
+        prior, ones = loc.prior_array(), part.table[:, 1]
+        mass = float(np.dot(prior, ones))
+        weighted = float(np.dot(prior * loc.utility_array(), ones))
+        posteriors.append(weighted / mass if mass > ZERO_MASS else -math.inf)
+    priority = sorted(range(system.num_locations), key=lambda k: (-posteriors[k], k))
+    strategy = _join_on_one_strategy(system, mech, priority)
     report = oracle.evaluate(system, mech, strategy)
     return mech, strategy, report
 
@@ -208,7 +199,7 @@ def heterogeneous_compose(
     mech = DecentralizedMechanism(tuple(parts))
 
     priority = order + [k for k in range(num_locs) if k not in solutions]
-    strategy = _join_on_one_strategy(system, mech, priority=priority)
+    strategy = _join_on_one_strategy(system, mech, priority)
 
     value = 0.0
     miss = 1.0

@@ -72,10 +72,16 @@ PIVOT_TOL = 1e-9   # smallest pivot element accepted in the ratio test
 # a denser row updates whole rows.  Timed one pivot at a time on 40 x 121,
 # 120 x 500 and 600 x 5211 tableaux (2-vCPU x86 VM), the two updates cost
 # the same at 15-30% nonzero.  The obedience LPs' pivot rows mostly sit far
-# from the cut: a median of about 60% nonzero on the verify suites' small
-# LPs, under 1% on the sweep's large ones.  Either update alone is slower
-# end to end: the sparse one on every pivot costs the small LPs about 30%,
-# the whole-row one the large LPs about 55%.
+# from the cut: a median of about 55% nonzero on the verify suites' small
+# LPs.  The sweep now solves orbit LPs, so the large sparse-row LPs are the
+# full K=8 LPs (59049 variables) of the two memory tests in CI, with
+# medians of 0.2% (correlated) and 11% (random three-state).  One pass of
+# each benchmark workload at seed 0 takes the sparse, touched-rows and
+# whole-tableau updates 334, 486 and 1323 times (verify-mix), 4, 0 and 96
+# times (large-lp), and 0, 198 and 2315 times (decentral-oracle).  Either
+# update alone was slower end to end: the sparse one on every pivot cost
+# the small LPs about 30%, the whole-row one the sweep's full LPs, before
+# they were solved over orbits, about 55%.
 SPARSE_ROW = 0.25
 
 

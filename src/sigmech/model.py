@@ -298,6 +298,13 @@ def require_valid(system: SystemModel) -> None:
         raise InputError("invalid system: " + "; ".join(problems))
 
 
+def _shape_problems(table: np.ndarray, what: str, num_signals: int, signal_axis: int) -> list[str]:
+    """A problem unless ``table`` is 2-D with one entry per signal along ``signal_axis``."""
+    if table.ndim == 2 and table.shape[signal_axis] == num_signals:
+        return []
+    return [f"{what}: shape {table.shape} for {num_signals} signals"]
+
+
 def _row_stochastic_problems(table: np.ndarray, what: str) -> list[str]:
     problems = []
     if table.size == 0:
@@ -336,7 +343,9 @@ class CentralizedMechanism:
         return len(self.signals)
 
     def violations(self) -> list[str]:
-        return _row_stochastic_problems(self.table, "mechanism table")
+        what = "mechanism table"
+        shape = _shape_problems(self.table, what, self.num_signals, 1)
+        return shape or _row_stochastic_problems(self.table, what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,10 +381,11 @@ class DecentralizedMechanism:
     def is_binary(self) -> bool:
         return all(part.is_binary for part in self.parts)
 
-    def joint_signals(self) -> list[tuple]:
+    @cached_property
+    def joint_signals(self) -> tuple[tuple, ...]:
         """Joint signal labels in mixed-radix order (location 1 fastest)."""
         reversed_labels = itertools.product(*(part.signals for part in self.parts[::-1]))
-        return [labels[::-1] for labels in reversed_labels]
+        return tuple(labels[::-1] for labels in reversed_labels)
 
     def joint_table(self) -> np.ndarray:
         """Induced sigma(s|w) table over joint states and joint signals."""
@@ -384,16 +394,14 @@ class DecentralizedMechanism:
         return reduce(lambda out, part: np.kron(part.table, out), self.parts, np.ones((1, 1)))
 
     def to_centralized(self) -> CentralizedMechanism:
-        return CentralizedMechanism(tuple(self.joint_signals()), self.joint_table())
+        return CentralizedMechanism(self.joint_signals, self.joint_table())
 
     def violations(self) -> list[str]:
         problems = []
         for k, part in enumerate(self.parts):
             what = f"location {k} table"
-            if part.table.ndim == 2 and part.table.shape[1] == len(part.signals):
-                problems += _row_stochastic_problems(part.table, what)
-            else:
-                problems.append(f"{what}: shape {part.table.shape} for {len(part.signals)} signals")
+            shape = _shape_problems(part.table, what, len(part.signals), 1)
+            problems += shape or _row_stochastic_problems(part.table, what)
         return problems
 
 
@@ -430,6 +438,9 @@ class CustomerStrategy:
         return self.table.shape[1]
 
     def violations(self) -> list[str]:
+        shape = _shape_problems(self.table, "strategy table", len(self.signals), 0)
+        if shape:
+            return shape
         problems = _row_stochastic_problems(self.table, "strategy table")
         if self.class_fd:
             for row, signal in enumerate(self.signals):

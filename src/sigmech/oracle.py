@@ -62,7 +62,7 @@ Mechanism = CentralizedMechanism | DecentralizedMechanism
 
 def _signal_masses(
     system: SystemModel, mech: Mechanism
-) -> tuple[list, np.ndarray, np.ndarray]:
+) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Joint signal labels, their probabilities ``(M,)`` and utility masses ``(K, M)``.
 
     ``wins[k, s]`` is the prior-and-mechanism weighted utility of joining
@@ -97,7 +97,7 @@ def _signal_masses(
                 block[k + 1] = (prior * loc.utility_array()) @ part.table
                 blocks.append(block)
             masses = kron_rows(blocks)
-            return mech.joint_signals(), masses[0], masses[1:]
+            return mech.joint_signals, masses[0], masses[1:]
         # mu's axes run from the last location to the first (first fastest).
         mu = system.joint_vector.reshape(system.state_sizes[::-1])
         weights = [mu]
@@ -109,14 +109,14 @@ def _signal_masses(
         for part in reversed(mech.parts):
             masses = np.tensordot(masses, part.table, axes=(1, 0))
         masses = masses.reshape(num_locs + 1, -1)
-        return mech.joint_signals(), masses[0], masses[1:]
+        return mech.joint_signals, masses[0], masses[1:]
     if mech.table.shape != (system.state_count, mech.num_signals):
         raise InputError(
             f"mechanism table shape {mech.table.shape} does not match "
             f"{system.state_count} states x {mech.num_signals} signals"
         )
     mass = system.joint_vector[:, None] * mech.table
-    return list(mech.signals), mass.sum(axis=0), system.utility_matrix.T @ mass
+    return mech.signals, mass.sum(axis=0), system.utility_matrix.T @ mass
 
 
 def _system_choice(utilities: np.ndarray, payoffs: Sequence[float]) -> np.ndarray:
@@ -148,7 +148,7 @@ def best_response(system: SystemModel, mech: Mechanism) -> CustomerStrategy:
     chosen = np.where(sent, _system_choice(utilities, system.payoffs), 0)
     rows = np.zeros((len(labels), system.num_locations + 1))
     rows[np.arange(len(labels)), chosen] = 1.0
-    return CustomerStrategy(tuple(labels), rows)
+    return CustomerStrategy(labels, rows)
 
 
 def evaluate(system: SystemModel, mech: Mechanism, strategy: CustomerStrategy) -> EvaluationReport:
@@ -160,7 +160,7 @@ def evaluate(system: SystemModel, mech: Mechanism, strategy: CustomerStrategy) -
             f"strategy table shape {strategy.table.shape} does not match "
             f"{len(labels)} signals x {num_actions} actions"
         )
-    if tuple(strategy.signals) != tuple(labels):
+    if strategy.signals != labels:
         raise InputError("strategy signal labels do not match the mechanism")
 
     action_mass = probs @ strategy.table

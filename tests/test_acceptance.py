@@ -170,7 +170,7 @@ def test_criterion_9_supporting_identities():
         system = random_independent_system(rng, (1, 4), (2, 3))
         probs = [rng.uniform(0.0, 1.0, loc.num_states) for loc in system.locations]
         mech = binary_mechanism(probs)
-        labels = tuple(mech.joint_signals())
+        labels = mech.joint_signals
         rows = np.zeros((len(labels), system.num_locations + 1))
         for row, u in enumerate(labels):
             ones = [k for k, bit in enumerate(u) if bit == 1]

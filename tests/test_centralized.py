@@ -611,7 +611,11 @@ def test_orbit_lp_of_an_asymmetric_system_is_the_full_lp():
         weighted = kind == "weighted"
         lp = build_centralized_lp(system, weighted)
         orbits = lp_orbits(system)
-        assert orbit_lp(lp, orbits) is lp
+        reduced = orbit_lp(lp, orbits)
+        for name in ("objective", "matrix", "rhs", "groups"):
+            ours, full = getattr(reduced, name), getattr(lp, name)
+            assert (ours.dtype, ours.shape) == (full.dtype, full.shape), name
+            assert ours.tobytes() == full.tobytes(), name
         weights = np.asarray(system.payoffs) if weighted else None
         start = priority_start(
             system.joint_vector, system.utility_matrix, weights, system.location_classes
@@ -623,3 +627,20 @@ def test_orbit_lp_of_an_asymmetric_system_is_the_full_lp():
         expected = x.reshape(mech.table.shape).copy()
         expected[(expected < 0.0) & (expected >= -1e-12)] = 0.0  # as the mechanism clamps
         assert mech.table.tobytes() == expected.tobytes()
+
+
+def test_only_interchangeable_locations_reach_the_orbit_reduction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orbit reduction called")
+
+    monkeypatch.setattr(sigmech.centralized, "lp_orbits", refuse)
+    monkeypatch.setattr(sigmech.centralized, "orbit_lp", refuse)
+    for kind in ("independent", "joint", "weighted"):
+        system = _random_system(0, kind)
+        weighted = kind == "weighted"
+        _, report = solve_centralized(system, weighted)
+        value = report.value if weighted else report.throughput
+        lp = build_centralized_lp(system, weighted)
+        assert abs(value - solve(lp, uninformative_basis(system)).objective_value) <= 1e-9
+    with pytest.raises(AssertionError, match="orbit reduction called"):
+        solve_centralized(make_tightness_instance(3, 10.0).system)

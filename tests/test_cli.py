@@ -117,6 +117,15 @@ def test_solve_heterogeneous_precondition_exits_3(runner, tmp_path):
     assert "sunny" in result.stderr
 
 
+def test_solve_heterogeneous_on_a_joint_prior_exits_3(runner, joint_path):
+    result = runner.invoke(main, ["solve", joint_path, "--mode", "heterogeneous"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: heterogeneous_compose needs independent priors"
+    ]
+
+
 def test_solve_heterogeneous_value(runner, tmp_path):
     path = tmp_path / "het.json"
     write_instance(

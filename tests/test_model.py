@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sigmech.bounds import make_correlated_instance, make_tightness_instance
 from sigmech.instances import random_joint_system
 from sigmech.model import (
+    CentralizedMechanism,
     CustomerStrategy,
     DecentralizedMechanism,
     InputError,
@@ -211,7 +212,6 @@ def test_mechanism_tables_are_immutable():
 def test_centralized_mechanism_clamps_tiny_negatives():
     central = binary_mechanism([[0.5, 0.5]]).to_centralized()
     assert central.violations() == []
-    from sigmech.model import CentralizedMechanism
 
     clamped = CentralizedMechanism((0, 1), [[1.0 + 1e-13, -1e-13]])
     assert clamped.table[0, 1] == 0.0
@@ -231,11 +231,24 @@ def test_decentralized_violations_report_tables_of_the_wrong_width():
         "location 1 table: shape (2, 1) for 2 signals",
         "location 2 table: shape (2,) for 2 signals",
     ]
+    assert CentralizedMechanism((0, 1), np.ones((2, 1))).violations() == [
+        "mechanism table: shape (2, 1) for 2 signals"
+    ]
+    assert CentralizedMechanism((0, 1), np.array([0.5, 0.5])).violations() == [
+        "mechanism table: shape (2,) for 2 signals"
+    ]
+    labels = ((0,), (1,))
+    assert CustomerStrategy(labels, np.ones((3, 1))).violations() == [
+        "strategy table: shape (3, 1) for 2 signals"
+    ]
+    assert CustomerStrategy(labels, np.ones(2), class_fd=True).violations() == [
+        "strategy table: shape (2,) for 2 signals"
+    ]
 
 
 def test_class_fd_flag_checks_structure():
     mech = binary_mechanism([[0.3, 0.7], [0.2, 0.9]])
-    labels = tuple(mech.joint_signals())
+    labels = mech.joint_signals
     good = np.zeros((4, 3))
     good[0, 0] = 1.0  # (0,0) -> leave
     good[1, 1] = 1.0  # (1,0) -> join 1

@@ -78,7 +78,7 @@ def test_evaluate_all_leave_strategy_is_zero():
     mech, _, _ = compose_optimal(system)
     table = np.zeros((4, 3))
     table[:, 0] = 1.0
-    strategy = CustomerStrategy(tuple(mech.joint_signals()), table)
+    strategy = CustomerStrategy(mech.joint_signals, table)
     report = evaluate(system, mech, strategy)
     assert report.throughput == 0.0
     assert report.value == 0.0
@@ -87,7 +87,7 @@ def test_evaluate_all_leave_strategy_is_zero():
 def test_evaluate_constant_signals_product_formula():
     system = pair_system()
     mech = binary_mechanism([[0.3, 0.3], [0.5, 0.5]])
-    labels = tuple(mech.joint_signals())
+    labels = mech.joint_signals
     table = np.zeros((4, 3))
     table[labels.index((0, 0)), 0] = 1.0
     table[labels.index((1, 0)), 1] = 1.0
@@ -142,7 +142,7 @@ def test_signal_table_width_must_match_its_signals(joint):
     mech = DecentralizedMechanism((good, narrow))
     with pytest.raises(InputError, match="location 1 table shape"):
         best_response(system, mech)
-    strategy = CustomerStrategy(tuple(mech.joint_signals()), np.eye(3)[[0, 1, 2, 0]])
+    strategy = CustomerStrategy(mech.joint_signals, np.eye(3)[[0, 1, 2, 0]])
     with pytest.raises(InputError, match="location 1 table shape"):
         evaluate(system, mech, strategy)
 
@@ -150,7 +150,7 @@ def test_signal_table_width_must_match_its_signals(joint):
 def _dense_masses(system, mech):
     """Reference signal masses from the dense joint table sigma(s|w)."""
     mass = system.joint_vector[:, None] * mech.joint_table()
-    return mech.joint_signals(), mass.sum(axis=0), system.utility_matrix.T @ mass
+    return mech.joint_signals, mass.sum(axis=0), system.utility_matrix.T @ mass
 
 
 def _posterior_check(system, mech, strategy):
@@ -557,13 +557,13 @@ def test_product_form_oracles_match_dense_reference(seed, joint):
         assert "joint_vector" not in system.__dict__
         assert "utility_matrix" not in system.__dict__
     labels, probs, wins = _dense_masses(system, mech)
-    assert list(strategy.signals) == labels
+    assert strategy.signals == labels
     assert np.array_equal(strategy.table, _reference_best_response(system, probs, wins))
 
     rng = np.random.default_rng(seed)
     rows = np.eye(system.num_locations + 1)[rng.integers(0, system.num_locations + 1, len(labels))]
     for table in (strategy.table, rows):
-        report = evaluate(system, mech, CustomerStrategy(tuple(labels), table))
+        report = evaluate(system, mech, CustomerStrategy(labels, table))
         per_location = (probs @ table)[1:]
         assert abs(report.throughput - per_location.sum()) <= 1e-12
         assert abs(report.value - per_location @ system.payoffs) <= 1e-12
