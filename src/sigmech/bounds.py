@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import InputError, LocationModel, SystemModel, joint_index
+from .model import InputError, LocationModel, SystemModel
 from .oracle import GRID_CANDIDATE_LIMIT, _grid_values, _location_combos
 
 
@@ -223,8 +223,8 @@ def make_correlated_instance(num_locations: int, penalty: float) -> SystemModel:
     for spot in range(k):
         one_good = [1] * k
         one_good[spot] = 0
-        table[joint_index(sizes, one_good)] = 1.0 / (k * (k + 1.0))
+        table[np.ravel_multi_index(one_good, sizes, order="F")] = 1.0 / (k * (k + 1.0))
         one_ok = [2] * k
         one_ok[spot] = 1
-        table[joint_index(sizes, one_ok)] = 1.0 / (k + 1.0)
+        table[np.ravel_multi_index(one_ok, sizes, order="F")] = 1.0 / (k + 1.0)
     return SystemModel(locations, joint=tuple(table))

@@ -469,13 +469,13 @@ def sweep(ctx, generator, k_range, x_list):
             _fmt(bounds.correlated_upper_bound(k)),
         ]
         if generator == "tightness":
-            cases = ((x, bounds.make_tightness_instance(k, x).system) for x in xs)
+            cases = [(x, bounds.make_tightness_instance(k, x).system) for x in xs]
+        elif k <= LP_SIZE_CAP:
+            cases = [(x, bounds.make_correlated_instance(k, x)) for x in xs if x > k]
         else:
-            usable = [x for x in xs if x > k]
-            if k > LP_SIZE_CAP or not usable:
-                writer.writerow([k, "", "", "", ""] + consts)
-                continue
-            cases = [(usable[0], bounds.make_correlated_instance(k, usable[0]))]
+            cases = []
+        if not cases:
+            writer.writerow([k, "", "", "", ""] + consts)
         for x, system in cases:
             _, central, _, dec = _compare(system)
             th, th_d = central.throughput, dec.throughput

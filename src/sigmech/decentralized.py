@@ -5,8 +5,8 @@ the single-location fallback for correlated systems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -79,26 +79,46 @@ def solve_isolated(location: LocationModel) -> IsolatedSolution:
     return IsolatedSolution(part, solution.objective_value)
 
 
-def _join_on_one_strategy(
-    system: SystemModel, mech: DecentralizedMechanism, priority: list[int]
-) -> CustomerStrategy:
-    """Deterministic join-on-1 strategy over the binary joint signal space.
+# Signal-1 posterior of a location that never sends 1: below every real
+# posterior, so it is joined only on rows no real posterior competes for,
+# but above the -inf of a location that sent 0.
+_NEVER_SENT = -np.finfo(float).max
 
-    On each nonzero signal vector the customer joins the first location
-    in ``priority`` among those signaling 1.  The all-zero vector maps to
-    leaving.
+
+def _compose(
+    system: SystemModel, members: Iterable[int]
+) -> tuple[DecentralizedMechanism, CustomerStrategy, dict[int, IsolatedSolution]]:
+    """Product of the members' isolated optima, and its join-on-1 customer.
+
+    Every other location always sends 0.  The customer leaves on the
+    all-zero signal; otherwise it joins the location sending 1 that
+    :func:`oracle._system_choice`, the rule of :func:`oracle.best_response`,
+    picks by signal-1 posterior utility.  Returns the mechanism, the
+    strategy and the members' isolated solutions.
     """
-    num_locs = system.num_locations
-    labels = mech.joint_signals
+    solutions = {k: solve_isolated(system.locations[k]) for k in members}
+    parts, posteriors = [], []
+    for k, loc in enumerate(system.locations):
+        if k in solutions:
+            part = solutions[k].mechanism
+        else:
+            table = np.column_stack([np.ones(loc.num_states), np.zeros(loc.num_states)])
+            part = LocationSignaling((0, 1), table)
+        prior, ones = loc.prior_array(), part.table[:, 1]
+        mass = float(np.dot(prior, ones))
+        weighted = float(np.dot(prior * loc.utility_array(), ones))
+        posteriors.append(weighted / mass if mass > ZERO_MASS else _NEVER_SENT)
+        parts.append(part)
+    mech = DecentralizedMechanism(tuple(parts))
+
     # Signals are (0, 1) at every location, location 1 fastest: bit k of
     # joint signal s is location k's signal.
-    ones = state_indices((2,) * num_locs).astype(bool)
-    rank = np.argsort(priority)
-    pick = np.argmin(np.where(ones, rank, num_locs), axis=1)
-    action = np.where(ones.any(axis=1), pick + 1, 0)
-    rows = np.zeros((len(labels), num_locs + 1))
-    rows[np.arange(len(labels)), action] = 1.0
-    return CustomerStrategy(labels, rows, class_fd=True)
+    ones = state_indices((2,) * system.num_locations).T.astype(bool)
+    utilities = np.full((system.num_locations + 1, ones.shape[1]), -np.inf)
+    utilities[0, 0] = 0.0  # leaving, on the all-zero signal only
+    np.copyto(utilities[1:], np.array(posteriors)[:, None], where=ones)
+    rows = np.eye(system.num_locations + 1)[oracle._system_choice(utilities, system.payoffs)]
+    return mech, CustomerStrategy(mech.joint_signals, rows, class_fd=True), solutions
 
 
 def compose_optimal(
@@ -108,8 +128,10 @@ def compose_optimal(
 
     Solves each location in isolation and takes the product mechanism;
     the throughput is 1 - prod_k (1 - th_iso_k).  The customer joins,
-    among locations signaling 1, one with the largest posterior utility
-    given its own signal 1 (smallest index on ties).
+    among locations signaling 1, the one :func:`oracle.best_response`'s
+    tie rule picks by signal-1 posterior utility: within
+    ``oracle.TIE_TOL`` of the best, the largest payoff, then the
+    smallest index.
     """
     require_valid(system)
     if system.prior_mode != "independent":
@@ -117,16 +139,7 @@ def compose_optimal(
             "compose_optimal needs independent priors; use correlated_fallback "
             "for systems with a joint prior"
         )
-    solutions = [solve_isolated(loc) for loc in system.locations]
-    mech = DecentralizedMechanism(tuple(sol.mechanism for sol in solutions))
-    posteriors = []
-    for loc, part in zip(system.locations, mech.parts):
-        prior, ones = loc.prior_array(), part.table[:, 1]
-        mass = float(np.dot(prior, ones))
-        weighted = float(np.dot(prior * loc.utility_array(), ones))
-        posteriors.append(weighted / mass if mass > ZERO_MASS else -math.inf)
-    priority = sorted(range(system.num_locations), key=lambda k: (-posteriors[k], k))
-    strategy = _join_on_one_strategy(system, mech, priority)
+    mech, strategy, _ = _compose(system, range(system.num_locations))
     report = oracle.evaluate(system, mech, strategy)
     return mech, strategy, report
 
@@ -161,16 +174,17 @@ def heterogeneous_compose(
 
     Locations with nonpositive payoff, or with negative utility on every
     positive-prior state, always signal 0.  The rest must have negative
-    prior-mean utility (checked), are sorted by payoff descending, and
-    each runs its isolated mechanism; the customer joins the
-    highest-payoff location among those signaling 1.  Returns the
-    closed-form telescoped value.
+    prior-mean utility (checked), and each runs its isolated mechanism,
+    whose signal-1 posterior utility is 0.  The customer joins among
+    locations signaling 1 as in :func:`compose_optimal`, by
+    :func:`oracle.best_response`'s tie rule, so those posteriors tie and
+    the highest payoff wins.  Returns the closed-form telescoped value,
+    summed in that payoff order.
     """
     require_valid(system)
     if system.prior_mode != "independent":
         raise PreconditionError("heterogeneous_compose needs independent priors")
 
-    num_locs = system.num_locations
     retained = []
     for k, loc in enumerate(system.locations):
         persuadable = any(
@@ -186,21 +200,9 @@ def heterogeneous_compose(
             )
         retained.append(k)
 
+    mech, strategy, solutions = _compose(system, retained)
+
     order = sorted(retained, key=lambda k: (-system.locations[k].payoff, k))
-    solutions = {k: solve_isolated(system.locations[k]) for k in order}
-
-    parts: list[LocationSignaling] = []
-    for k, loc in enumerate(system.locations):
-        if k in solutions:
-            parts.append(solutions[k].mechanism)
-        else:
-            table = np.column_stack([np.ones(loc.num_states), np.zeros(loc.num_states)])
-            parts.append(LocationSignaling((0, 1), table))
-    mech = DecentralizedMechanism(tuple(parts))
-
-    priority = order + [k for k in range(num_locs) if k not in solutions]
-    strategy = _join_on_one_strategy(system, mech, priority)
-
     value = 0.0
     miss = 1.0
     for pos, k in enumerate(order):

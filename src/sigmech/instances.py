@@ -20,7 +20,6 @@ from .model import (
     LocationModel,
     SolverError,
     SystemModel,
-    joint_index,
     require_valid,
     state_indices,
 )
@@ -105,7 +104,7 @@ def parse_instance(text: str) -> SystemModel:
                         f"{where}.state[{k}]: {label!r} is not a state of "
                         f"location {locations[k].name!r}"
                     ) from None
-            flat = joint_index(sizes, idxs)
+            flat = int(np.ravel_multi_index(idxs, sizes, order="F"))
             if flat in seen:
                 raise ParseError(f"{where}: duplicate state tuple {labels}")
             seen.add(flat)

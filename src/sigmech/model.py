@@ -47,18 +47,6 @@ class SolverError(RuntimeError):
     """Internal solver failure that should never occur on valid input."""
 
 
-def joint_index(sizes: Sequence[int], idxs: Sequence[int]) -> int:
-    """Flat index of a state tuple, first coordinate fastest."""
-    flat = 0
-    stride = 1
-    for size, idx in zip(sizes, idxs):
-        if not 0 <= idx < size:
-            raise InputError(f"state index {idx} out of range [0, {size})")
-        flat += idx * stride
-        stride *= size
-    return flat
-
-
 def state_indices(sizes: Sequence[int]) -> np.ndarray:
     """(prod(sizes), K) int matrix of all index tuples, first coordinate fastest."""
     return np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes, order="F"), axis=1)
@@ -162,7 +150,12 @@ class SystemModel:
             raise InputError(
                 f"state tuple has {len(state)} entries, expected {self.num_locations}"
             )
-        flat = joint_index(self.state_sizes, state)
+        try:
+            flat = np.ravel_multi_index(tuple(state), self.state_sizes, order="F")
+        except ValueError:
+            raise InputError(
+                f"state tuple {tuple(state)} out of range for sizes {self.state_sizes}"
+            ) from None
         if self.joint is not None:
             return self.joint[flat]
         out = 1.0

@@ -292,6 +292,18 @@ def test_sweep_correlated_bounds_only_for_large_k(runner):
             assert row["Th"] == ""
 
 
+def test_sweep_correlated_prints_one_row_per_penalty_above_k(runner):
+    result = runner.invoke(main, ["sweep", "correlated", "--K", "2..3", "--X", "3,1000"])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [(row["K"], row["X"]) for row in rows] == [("2", "3"), ("2", "1000"), ("3", "1000")]
+    assert all(float(row["Th"]) == pytest.approx(1.0, abs=1e-9) for row in rows)
+
+    result = runner.invoke(main, ["sweep", "correlated", "--K", "3..3", "--X", "2,3"])
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [(row["K"], row["X"], row["Th"]) for row in rows] == [("3", "", "")]
+
+
 def test_sweep_correlated_solves_k5_and_k6(runner):
     result = runner.invoke(main, ["sweep", "correlated", "--K", "5..6"])
     assert result.exit_code == 0

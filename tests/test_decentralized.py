@@ -277,40 +277,52 @@ def test_heterogeneous_drops_useless_locations():
     assert float(mech.parts[2].table[:, 1].max()) == 0.0
     report = evaluate(system, mech, strategy)
     assert report.value == pytest.approx(value, abs=1e-9)
+    _assert_best_response_rows(system, mech, strategy)
 
 
-def _label_join_on_one(strategy, priority):
-    """Join-on-1 rows read off the joint signal labels: the first location
-    in ``priority`` among those signaling 1, leave on the all-zero signal."""
-    rows = np.zeros_like(strategy.table)
-    for row, label in enumerate(strategy.signals):
-        sending = [k for k in priority if label[k] == 1]
-        rows[row, sending[0] + 1 if sending else 0] = 1.0
-    return rows
+def _join_on_one_systems():
+    """Random independent systems with positive payoffs, some of them with
+    a location that never sends 1 (negative utility in every state)."""
+    rng = np.random.default_rng(34)
+    systems = [
+        random_independent_system(
+            rng, (1, 5), (2, 3), require_negative_mean=True, payoff_range=(0.0, 3.0)
+        )
+        for _ in range(20)
+    ]
+    systems += [
+        random_independent_system(
+            np.random.default_rng([7, t]), (2, 6), (2, 3),
+            require_negative_mean=t % 2 == 0, payoff_range=(0.5, 2.0),
+        )
+        for t in range(300)
+    ]
+    never = LocationModel("never", ("s0", "s1"), (0.5, 0.5), (-1.0, -2.0), 1.5)
+    systems += [SystemModel(s.locations + (never,)) for s in systems[:20]]
+    systems += [SystemModel((never,) + s.locations) for s in systems[20:40]]
+    return systems
+
+
+def _assert_best_response_rows(system, mech, strategy):
+    """Class-Fd rows that are best_response's on every sent signal."""
+    assert strategy.class_fd and strategy.violations() == []
+    sent = system.joint_vector @ mech.joint_table() > 1e-12
+    assert np.array_equal(strategy.table[sent], best_response(system, mech).table[sent])
 
 
 def test_join_on_one_rows_match_the_signal_labels():
-    rng = np.random.default_rng(34)
-    for _ in range(20):
-        system = random_independent_system(
-            rng, (1, 5), (2, 3), require_negative_mean=True, payoff_range=(0.0, 3.0)
+    for system in _join_on_one_systems():
+        mech, strategy, report = compose_optimal(system)
+        _assert_best_response_rows(system, mech, strategy)
+        reference = evaluate(system, mech, best_response(system, mech))
+        assert report.per_location_throughput == pytest.approx(
+            reference.per_location_throughput, rel=0.0, abs=1e-12
         )
-        mech, strategy, _ = compose_optimal(system)
-        posteriors = []
-        for loc, part in zip(system.locations, mech.parts):
-            mass = loc.prior_array() @ part.table[:, 1]
-            weighted = (loc.prior_array() * loc.utility_array()) @ part.table[:, 1]
-            posteriors.append(weighted / mass if mass > 1e-12 else -np.inf)
-        order = sorted(range(system.num_locations), key=lambda k: (-posteriors[k], k))
-        assert np.array_equal(strategy.table, _label_join_on_one(strategy, order))
+        assert report.value == pytest.approx(reference.value, rel=0.0, abs=1e-12)
 
-        _, strategy, _ = heterogeneous_compose(system)
-        kept = [k for k, loc in enumerate(system.locations)
-                if loc.payoff > 0.0
-                and any(q > 0.0 and h >= 0.0 for q, h in zip(loc.prior, loc.utility))]
-        order = sorted(kept, key=lambda k: (-system.locations[k].payoff, k))
-        order += [k for k in range(system.num_locations) if k not in kept]
-        assert np.array_equal(strategy.table, _label_join_on_one(strategy, order))
+        if all(loc.expected_utility() < 0.0 for loc in system.locations):
+            mech, strategy, _ = heterogeneous_compose(system)
+            _assert_best_response_rows(system, mech, strategy)
 
 
 def test_heterogeneous_requires_negative_mean_utility():

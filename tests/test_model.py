@@ -18,7 +18,6 @@ from sigmech.model import (
     LocationSignaling,
     SystemModel,
     binary_mechanism,
-    joint_index,
     joint_prior,
     kron_rows,
     state_indices,
@@ -66,6 +65,8 @@ def test_joint_prior_rejects_out_of_range_indices():
     with pytest.raises(InputError):
         joint_prior(system, (0, 2))
     with pytest.raises(InputError):
+        joint_prior(system, (-1, 0))
+    with pytest.raises(InputError):
         joint_prior(system, (0,))
 
 
@@ -73,9 +74,9 @@ def test_mixed_radix_order_first_location_fastest():
     tuples = state_indices((2, 3))
     assert tuples.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1], [0, 2], [1, 2]]
     for flat, idx in enumerate(tuples):
-        assert joint_index((2, 3), idx) == flat
+        assert np.ravel_multi_index(tuple(idx), (2, 3), order="F") == flat
     for flat, idx in enumerate(state_indices((3, 1, 2, 4))):
-        assert joint_index((3, 1, 2, 4), idx) == flat
+        assert np.ravel_multi_index(tuple(idx), (3, 1, 2, 4), order="F") == flat
     assert state_indices((5,)).tolist() == [[0], [1], [2], [3], [4]]
 
 
