@@ -168,8 +168,8 @@ def make_tightness_instance(num_locations: int, good_utility: float) -> Tightnes
     x = float(good_utility)
     if k < 2:
         raise InputError(f"need at least two locations, got {num_locations}")
-    if x <= 1.0:
-        raise InputError(f"good-state utility must exceed 1, got {good_utility}")
+    if not 1.0 < x < math.inf:  # NaN fails too
+        raise InputError(f"good-state utility must be finite and exceed 1, got {good_utility}")
     # 1 - (x/(x+1))**(1/k) without the cancellation at large x.
     p_star = -math.expm1(math.log1p(-1.0 / (x + 1.0)) / k)
     locations = tuple(
@@ -203,8 +203,10 @@ def make_correlated_instance(num_locations: int, penalty: float) -> SystemModel:
     x = float(penalty)
     if k < 2:
         raise InputError(f"need at least two locations, got {num_locations}")
-    if x <= k:
-        raise InputError(f"penalty must exceed the location count {k}, got {penalty}")
+    if not k < x < math.inf:  # NaN fails too
+        raise InputError(
+            f"penalty must be finite and exceed the location count {k}, got {penalty}"
+        )
 
     good = 1.0 / (k * (k + 1.0))
     ok = (2.0 * k - 1.0) / (k * (k + 1.0))

@@ -5,8 +5,9 @@ constants to CSV.
 Exit codes: 0 success, 1 verify-suite failure, 2 any invalid argument or
 instance (parse or validation error) or an instance too large for the
 available memory, 3 precondition error (e.g. payoff-weighted mode
-without negative prior-mean utilities, or decentralized mode on a
-joint-prior instance without --fallback), 4 LP solver failure; under
+without negative prior-mean utilities, decentralized mode on a
+joint-prior instance without --fallback, or a nonpositive payoff in
+decentralized mode or compare), 4 LP solver failure; under
 ``verify`` the offending instance is printed too.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 
 import click
@@ -93,6 +95,8 @@ def _parse_floats(text: str) -> list[float]:
         raise InputError(f"bad number list {text!r}") from None
     if not values:
         raise InputError(f"empty number list {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"number list {text!r} holds a NaN or an infinity")
     return values
 
 
@@ -304,6 +308,8 @@ def compare(ctx, instance):
 def verify(ctx, suite, k_range, x_list, trials, seed_override):
     """Run a property suite on seeded random instances; exit 1 on failure."""
     tol = ctx.obj["tolerance"]
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise InputError(f"--tolerance must be finite and nonnegative, got {tol}")
     seed = ctx.obj["seed"] if seed_override is None else seed_override
     k_lo, k_hi = _parse_range(k_range)
     xs = _parse_floats(x_list)

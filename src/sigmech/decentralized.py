@@ -132,6 +132,12 @@ def compose_optimal(
     tie rule picks by signal-1 posterior utility: within
     ``oracle.TIE_TOL`` of the best, the largest payoff, then the
     smallest index.
+
+    Every payoff must be positive (PreconditionError otherwise): where
+    the only location sending 1 has posterior utility 0 and payoff at
+    most 0, the system-favoring customer leaves, which no customer that
+    joins on 1 can match.  :func:`heterogeneous_compose` drops such
+    locations instead.
     """
     require_valid(system)
     if system.prior_mode != "independent":
@@ -139,6 +145,12 @@ def compose_optimal(
             "compose_optimal needs independent priors; use correlated_fallback "
             "for systems with a joint prior"
         )
+    for k, loc in enumerate(system.locations):
+        if loc.payoff <= 0.0:
+            raise PreconditionError(
+                f"location {k} ({loc.name!r}) has nonpositive payoff {loc.payoff:.6g}; "
+                "compose_optimal needs every payoff positive"
+            )
     mech, strategy, _ = _compose(system, range(system.num_locations))
     report = oracle.evaluate(system, mech, strategy)
     return mech, strategy, report

@@ -29,14 +29,13 @@ variable is one of three kinds:
 Pricing is Dantzig's rule with a permanent switch to Bland's rule after
 a degenerate stall (which guarantees termination), and the iteration
 cap is 50 * (variables + rows + groups).  Ratio-test ties go to the
-smallest basic column index, keys included.  A pivot updates only the
-tableau rows with a nonzero entry in the pivot column.  If the
-normalized pivot row is sparse (nonzeros below SPARSE_ROW of the
-tableau width) it updates only the columns where that row is nonzero;
-otherwise it updates the touched rows across their full width, or the
-whole tableau in place when at least half its rows are touched.  All
-three apply the same operation to every element that changes, so the
-tableau and the pivot path do not depend on which one runs.
+smallest basic column index, keys included.  A pivot whose normalized
+row is sparse (nonzeros below SPARSE_ROW of the tableau width) updates
+only the block of rows with a nonzero pivot-column entry and columns
+with a nonzero pivot-row entry; any other pivot updates the whole
+tableau in place.  Both subtract the same product from every element
+that changes, so the tableau and the pivot path do not depend on which
+one runs.
 
 One way in: ``solve(lp, basis)`` starts from a basis the caller knows
 to be feasible.  ``basis`` names one member column per group, in group
@@ -68,20 +67,22 @@ FEAS_TOL = 1e-8    # feasibility tolerance (start basis, violation checks)
 OPT_TOL = 1e-11
 PIVOT_TOL = 1e-9   # smallest pivot element accepted in the ratio test
 # A pivot row with fewer nonzeros than this share of the tableau width
-# updates only its nonzero columns, by an indexed gather and scatter;
-# a denser row updates whole rows.  Timed one pivot at a time on 40 x 121,
-# 120 x 500 and 600 x 5211 tableaux (2-vCPU x86 VM), the two updates cost
-# the same at 15-30% nonzero.  The obedience LPs' pivot rows mostly sit far
-# from the cut: a median of about 55% nonzero on the verify suites' small
-# LPs.  The sweep now solves orbit LPs, so the large sparse-row LPs are the
-# full K=8 LPs (59049 variables) of the two memory tests in CI, with
-# medians of 0.2% (correlated) and 11% (random three-state).  One pass of
-# each benchmark workload at seed 0 takes the sparse, touched-rows and
-# whole-tableau updates 334, 486 and 1323 times (verify-mix), 4, 0 and 96
-# times (large-lp), and 0, 198 and 2315 times (decentral-oracle).  Either
-# update alone was slower end to end: the sparse one on every pivot cost
-# the small LPs about 30%, the whole-row one the sweep's full LPs, before
-# they were solved over orbits, about 55%.
+# updates only its nonzero columns of the touched rows, by an indexed
+# gather and scatter; a denser row updates the whole tableau in place.
+# Timed one pivot at a time on 40 x 121, 120 x 500 and 600 x 5211
+# tableaux (2-vCPU x86 VM), the two cost the same at 15-30% nonzero.
+# The obedience LPs' pivot rows mostly sit far from the cut: a median of
+# about 55% nonzero on all three benchmark workloads.  One pass of each
+# at seed 0 takes the sparse and whole-tableau updates 334 and 1809
+# times (verify-mix), 4 and 96 times (large-lp), and 0 and 2513 times
+# (decentral-oracle).  The large sparse-row LPs are full K=8 LPs (59049
+# variables): CI's two memory tests, correlated and random three-state
+# `default_rng([0, 8])`, with medians of 0.2% and 11% (93 and 313 row
+# pivots, all sparse); `[1, 8]` takes 196 sparse and 308 whole-tableau
+# updates.  Each update alone is slower on them (median solve time of 3
+# runs on that VM, one BLAS thread): the whole-tableau one took the
+# correlated LP from 0.11 to 1.4 s and `[0, 8]` from 0.76 to 4.8 s, the
+# sparse one `[1, 8]` from 5.6 to 9.6 s.
 SPARSE_ROW = 0.25
 
 
@@ -208,7 +209,6 @@ class _Tableau:
         groups: np.ndarray | None = None,
     ):
         self.T = np.ascontiguousarray(body)
-        self._flat = self.T.reshape(-1)  # a view, for the sparse pivot's gather
         self.basis = basis
         self.groups = np.zeros(0, dtype=int) if groups is None else groups
         m = self.num_rows
@@ -261,13 +261,12 @@ class _Tableau:
         np.divide(values - 1.0, falls, out=out, where=falls < -PIVOT_TOL)
 
     def _pivot(self, row: int, col: int) -> None:
-        """Gauss-Jordan pivot touching only the entries it changes.
+        """Gauss-Jordan pivot, by one of two updates of the same floats.
 
         Rows with a zero pivot-column entry, and columns with a zero
-        pivot-row entry, would be updated by exactly 0, so skipping them
-        gives the same tableau as the dense update.  Columns are skipped
-        only for a sparse pivot row (see SPARSE_ROW); rows only when
-        fewer than half of them are touched.
+        pivot-row entry, are updated by exactly 0.  A sparse pivot row
+        (see SPARSE_ROW) updates only the block of touched rows and its
+        nonzero columns; any other updates the whole tableau in place.
         """
         T = self.T
         pivot_row = T[row]
@@ -278,17 +277,11 @@ class _Tableau:
         if rows.size:
             cols = pivot_row.nonzero()[0]
             if cols.size < SPARSE_ROW * pivot_row.size:
-                block = (rows * pivot_row.size)[:, None] + cols
-                self._flat[block] -= column[rows, None] * pivot_row[cols]
-            elif 2 * rows.size >= T.shape[0]:
-                # Update the whole tableau in place rather than gather the
-                # touched rows, update the copy and scatter it back; the
-                # other rows lose exactly 0.
+                T[np.ix_(rows, cols)] -= column[rows, None] * pivot_row[cols]
+            else:
                 factor = column.copy()
                 factor[row] = 0.0
                 T -= np.multiply.outer(factor, pivot_row)
-            else:
-                T[rows] -= column[rows, None] * pivot_row
         column[:] = 0.0
         pivot_row[col] = 1.0
         self.basis[row] = col

@@ -232,8 +232,24 @@ def joint_prior(system: SystemModel, state: Sequence[int]) -> float:
     return system.joint_prior(state)
 
 
+def _nonfinite(what: str, values: Sequence[float]) -> list[str]:
+    """One problem per NaN or infinite entry of ``values``."""
+    if all(map(math.isfinite, values)):
+        return []
+    return [
+        f"{what}[{i}] is not finite: {v}"
+        for i, v in enumerate(values)
+        if not math.isfinite(v)
+    ]
+
+
 def validate(system: SystemModel) -> list[str]:
-    """Diagnose invariant violations; empty list means the system is valid."""
+    """Diagnose invariant violations; empty list means the system is valid.
+
+    Every prior, utility, payoff and joint entry must be finite; a
+    non-finite one is reported on its own, and the sign and sum checks
+    it would make meaningless are skipped.
+    """
     problems: list[str] = []
     for k, loc in enumerate(system.locations):
         tag = f"locations[{k}] ({loc.name!r})"
@@ -252,6 +268,12 @@ def validate(system: SystemModel) -> list[str]:
                 f"{tag}: utility has {len(loc.utility)} entries for {loc.num_states} states"
             )
             continue
+        bad_prior = _nonfinite(f"{tag}: prior", loc.prior)
+        problems += bad_prior + _nonfinite(f"{tag}: utility", loc.utility)
+        if not math.isfinite(loc.payoff):
+            problems.append(f"{tag}: payoff is not finite: {loc.payoff}")
+        if bad_prior:
+            continue
         low = min(loc.prior)
         if low < 0.0:
             problems.append(f"{tag}: negative prior entry {low}")
@@ -267,6 +289,9 @@ def validate(system: SystemModel) -> list[str]:
             problems.append(
                 f"joint table has {len(joint)} entries, expected {system.state_count}"
             )
+            return problems
+        problems += _nonfinite("joint table", joint)
+        if problems:
             return problems
         low = min(joint)
         if low < 0.0:

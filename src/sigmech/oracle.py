@@ -60,6 +60,13 @@ _BATCH = 1 << 14
 Mechanism = CentralizedMechanism | DecentralizedMechanism
 
 
+def _state_weights(system: SystemModel) -> np.ndarray:
+    """(S, K + 1) masses ``[mu, mu*u_1, ..., mu*u_K]`` of every state."""
+    return system.joint_vector[:, None] * np.column_stack(
+        [np.ones(system.state_count), system.utility_matrix]
+    )
+
+
 def _signal_masses(
     system: SystemModel, mech: Mechanism
 ) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -98,14 +105,10 @@ def _signal_masses(
                 blocks.append(block)
             masses = kron_rows(blocks)
             return mech.joint_signals, masses[0], masses[1:]
-        # mu's axes run from the last location to the first (first fastest).
-        mu = system.joint_vector.reshape(system.state_sizes[::-1])
-        weights = [mu]
-        for k, loc in enumerate(system.locations):
-            others = [j for j in range(num_locs) if j != num_locs - 1 - k]
-            weights.append(mu * np.expand_dims(loc.utility_array(), others))
-        # Contracting axis 1 each time leaves the signal axes in the same order.
-        masses = np.stack(weights)
+        # The state axes run from the last location to the first (first
+        # fastest); contracting axis 1 each time leaves the signal axes in
+        # the same order.
+        masses = _state_weights(system).T.reshape((num_locs + 1,) + system.state_sizes[::-1])
         for part in reversed(mech.parts):
             masses = np.tensordot(masses, part.table, axes=(1, 0))
         masses = masses.reshape(num_locs + 1, -1)
@@ -314,10 +317,7 @@ def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, 
     head = counts[0]
     # weights[r, (a, w_1)] is the mass [mu; mu*u_1; ...; mu*u_K][a] of the
     # state with location-1 index w_1 and other-locations index r.
-    weights = system.joint_vector[:, None] * np.column_stack(
-        [np.ones(system.state_count), system.utility_matrix]
-    )
-    weights = weights.reshape(-1, sizes[0], num_locs + 1).transpose(0, 2, 1)
+    weights = _state_weights(system).reshape(-1, sizes[0], num_locs + 1).transpose(0, 2, 1)
     weights = weights.reshape(-1, (num_locs + 1) * sizes[0])
     always_join_on_tie = min(system.payoffs) > 0.0
 

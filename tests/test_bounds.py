@@ -186,6 +186,15 @@ def test_tightness_instance_reference_values():
         make_tightness_instance(1, 3.0)
 
 
+def test_generators_refuse_a_non_finite_scale():
+    # NaN passed the old `x <= limit` guards; inf passed them too.
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="finite"):
+            make_tightness_instance(2, x)
+        with pytest.raises(InputError, match="finite"):
+            make_correlated_instance(2, x)
+
+
 def test_tightness_prior_stable_at_huge_scale():
     inst = make_tightness_instance(2, 1e6)
     p = inst.good_state_prior

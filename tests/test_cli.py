@@ -239,6 +239,68 @@ def test_range_guards_exit_2(runner):
         assert len(lines) == 1 and lines[0].startswith("error: "), args
 
 
+def _one_error_line(result, code: int) -> None:
+    assert result.exit_code == code, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+def test_sweep_refuses_non_finite_numbers(runner):
+    # At one time --X nan printed a row of nans with exit 0 and --X inf
+    # died in an argmin over an empty sequence.
+    for generator in ("tightness", "correlated"):
+        for x in ("nan", "inf", "10,-inf"):
+            result = runner.invoke(main, ["sweep", generator, "--K", "2..2", "--X", x])
+            _one_error_line(result, 2)
+
+
+def test_verify_refuses_non_finite_numbers(runner):
+    # A NaN slack or tolerance, or a negative tolerance, failed checks of
+    # valid instances (RESULT FAIL, exit 1); an infinite one passed any.
+    for args in (
+        ["verify", "tightness", "--K", "2..2", "--X", "nan"],
+        ["verify", "tightness", "--K", "2..2", "--X", "3,inf"],
+        ["--tolerance", "nan", "verify", "tightness", "--K", "2..2"],
+        ["--tolerance", "inf", "verify", "lemmas", "--trials", "1"],
+        ["--tolerance", "-1", "verify", "tightness", "--K", "2..2", "--X", "3"],
+    ):
+        result = runner.invoke(main, args)
+        _one_error_line(result, 2)
+        assert result.stdout == "", args
+
+
+def test_solve_and_compare_refuse_a_non_finite_instance(runner, tmp_path):
+    # Python's json reads NaN and Infinity; validation refuses them.
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"locations": [{"name": "a", "states": ["x", "y"], "prior": [0.5, 0.5], '
+        '"utility": [NaN, 1.0], "payoff": Infinity}]}',
+        encoding="utf-8",
+    )
+    for args in (["solve", str(path)], ["compare", str(path)]):
+        result = runner.invoke(main, args)
+        _one_error_line(result, 2)
+        assert "utility[0] is not finite: nan" in result.stderr
+        assert "payoff is not finite: inf" in result.stderr
+
+
+def test_decentralized_with_a_nonpositive_payoff_exits_3(runner, tmp_path):
+    path = tmp_path / "toxic.json"
+    write_instance(
+        SystemModel((
+            LocationModel("good", ("bad", "good"), (0.8, 0.2), (-1.0, 1.0), 2.0),
+            LocationModel("toxic", ("bad", "good"), (0.8, 0.2), (-1.0, 1.0), -1.0),
+        )),
+        path,
+    )
+    for args in (["solve", str(path), "--mode", "decentralized"], ["compare", str(path)]):
+        result = runner.invoke(main, args)
+        _one_error_line(result, 3)
+        assert "toxic" in result.stderr
+    assert runner.invoke(main, ["solve", str(path), "--mode", "heterogeneous"]).exit_code == 0
+
+
 def test_sweep_tightness_ratio_approaches_guarantee(runner):
     result = runner.invoke(main, ["sweep", "tightness", "--K", "2..4", "--X", "1000"])
     assert result.exit_code == 0

@@ -24,6 +24,7 @@ from sigmech.decentralized import (
 from sigmech.instances import random_independent_system, random_joint_system
 from sigmech.model import (
     CentralizedMechanism,
+    DecentralizedMechanism,
     InputError,
     LocationModel,
     PreconditionError,
@@ -260,6 +261,22 @@ def test_heterogeneous_single_location_and_uniform_payoffs():
     _, _, value = heterogeneous_compose(uniform)
     _, _, report = compose_optimal(uniform)
     assert value == pytest.approx(report.throughput, abs=1e-9)
+
+
+def test_compose_optimal_refuses_a_nonpositive_payoff():
+    # On the product of the isolated optima the class-Fd customer joins
+    # "toxic" on its signal 1 (posterior utility 0), where the
+    # system-favoring customer leaves: T_k (0.4, 0.24) and value 0.56
+    # against best_response's (0.4, 0) and 0.80.
+    system = SystemModel((location(payoff=2.0, name="good"), location(payoff=-1.0, name="toxic")))
+    mech = DecentralizedMechanism(tuple(solve_isolated(loc).mechanism for loc in system.locations))
+    report = evaluate(system, mech, best_response(system, mech))
+    assert report.per_location_throughput == pytest.approx((0.4, 0.0), abs=1e-12)
+    assert report.value == pytest.approx(0.8, abs=1e-12)
+    for payoff in (-1.0, 0.0):
+        bad = SystemModel((system.locations[0], location(payoff=payoff, name="toxic")))
+        with pytest.raises(PreconditionError, match="location 1 .'toxic'. has nonpositive payoff"):
+            compose_optimal(bad)
 
 
 def test_heterogeneous_drops_useless_locations():

@@ -1,9 +1,12 @@
-"""Golden stdout: the sweeps and the example instance's solve and compare
-print exactly the bytes recorded under ``tests/golden/``.
+"""Golden stdout: the sweeps, the four verify suites at their defaults and
+the example instance's solve and compare print exactly the bytes recorded
+under ``tests/golden/``.
 
 Each golden file is the stdout of ``sigmech <args>`` with the example
 instance (the critical two-location tightness instance, X = 3) written to
 ``critical.json``.  A change that moves any printed digit fails here.
+The verify suites' bytes are the same with one BLAS thread and with
+OpenBLAS's default thread count.
 """
 
 from pathlib import Path
@@ -26,6 +29,10 @@ CASES = [
         for mode in ("centralized", "decentralized", "heterogeneous", "full-info", "no-info")
     ],
     ("compare", ["compare", INSTANCE]),
+    *[
+        (f"verify_{suite}", ["verify", suite])
+        for suite in ("independent-bound", "tightness", "correlated-bound", "lemmas")
+    ],
 ]
 
 

@@ -94,6 +94,25 @@ def test_validate_reports_bad_prior_sum():
     assert "1.1" in problems[0]
 
 
+def test_validate_reports_each_non_finite_entry():
+    def problems(**fields):
+        loc = dict(name="a", states=("s0", "s1"), prior=(0.5, 0.5), utility=(1.0, -1.0))
+        return validate(SystemModel((LocationModel(**{**loc, **fields}),)))
+
+    assert problems(prior=(math.nan, 1.0)) == [
+        "locations[0] ('a'): prior[0] is not finite: nan"
+    ]
+    assert problems(utility=(math.inf, -math.inf)) == [
+        "locations[0] ('a'): utility[0] is not finite: inf",
+        "locations[0] ('a'): utility[1] is not finite: -inf",
+    ]
+    assert problems(payoff=math.nan) == ["locations[0] ('a'): payoff is not finite: nan"]
+
+    locs = tuple(LocationModel(n, ("s0", "s1"), (0.5, 0.5), (1.0, -1.0)) for n in "ab")
+    joint = SystemModel(locs, joint=(0.25, math.nan, 0.25, 0.25))
+    assert validate(joint) == ["joint table[1] is not finite: nan"]
+
+
 def test_validate_reports_marginal_mismatch():
     locs = (
         LocationModel("a", ("s0", "s1"), (0.45, 0.55), (1.0, -1.0)),
