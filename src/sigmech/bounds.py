@@ -106,36 +106,27 @@ def join_envelope(profiles: np.ndarray) -> np.ndarray:
 
 
 def max_join_bound(
-    num_locations: int, resolution: float = 0.01, mode: str = "auto"
+    num_locations: int, resolution: float = 0.01
 ) -> tuple[tuple[float, ...], float]:
-    """Maximize :func:`join_envelope` over [0,1]^K.
+    """Maximize :func:`join_envelope` over the grid {0, resolution, ..., 1}^K.
 
-    ``full`` mode scans the grid {0, resolution, ..., 1}^K (K <= 4, at
-    most ``oracle.GRID_CANDIDATE_LIMIT`` points, checked before any grid
-    is built); ``symmetric`` mode uses the reduction to
-    max{K z : z <= (1-z)^(K-1)}, whose optimum is K times the balanced
-    share.  ``auto`` picks full where full mode accepts the grid and
-    symmetric otherwise.  Returns (maximizer, value).
+    A brute-force reference for K <= 4 and at most
+    ``oracle.GRID_CANDIDATE_LIMIT`` points, checked before any grid is
+    built.  The symmetric reduction max{K z : z <= (1-z)^(K-1)} needs no
+    grid: its optimum is K times :func:`solve_balanced_share`.  Returns
+    (maximizer, value).
     """
     k = int(num_locations)
     if k < 2:
         raise InputError(f"need at least two locations, got {num_locations}")
     if not 0.0 < resolution <= 0.5:
         raise InputError(f"resolution must lie in (0, 0.5], got {resolution}")
-    values = _grid_values(resolution)
-    fits = k <= 4 and len(values) ** k <= GRID_CANDIDATE_LIMIT
-    if mode == "auto":
-        mode = "full" if fits else "symmetric"
-    if mode == "symmetric":
-        share = solve_balanced_share(k)
-        return (share,) * k, k * share
-    if mode != "full":
-        raise InputError(f"unknown mode {mode!r}")
     if k > 4:
-        raise InputError("full-grid mode is capped at 4 locations")
-    if not fits:
+        raise InputError("the join-envelope grid is capped at 4 locations")
+    values = _grid_values(resolution)
+    if len(values) ** k > GRID_CANDIDATE_LIMIT:
         raise InputError(
-            f"full-grid mode scores at most {GRID_CANDIDATE_LIMIT} candidates, "
+            f"the join-envelope grid scores at most {GRID_CANDIDATE_LIMIT} candidates, "
             f"got {len(values) ** k} at resolution {resolution}"
         )
 

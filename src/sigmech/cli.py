@@ -3,11 +3,12 @@ verify the guarantee suites on random instances, and sweep the bound
 constants to CSV.
 
 Exit codes: 0 success, 1 verify-suite failure, 2 any invalid argument or
-instance (parse or validation error) or an instance too large for the
-available memory, 3 precondition error (e.g. payoff-weighted mode
-without negative prior-mean utilities, decentralized mode on a
-joint-prior instance without --fallback, or a nonpositive payoff in
-decentralized mode or compare), 4 LP solver failure; under
+instance (parse or validation error), an instance too large for the
+available memory or an ``--output`` file that cannot be written, 3
+precondition error (e.g. payoff-weighted mode without negative
+prior-mean utilities, decentralized mode on a joint-prior instance
+without --fallback, or a nonpositive payoff in decentralized mode or
+compare), 4 LP solver failure; under
 ``verify`` the offending instance is printed too.
 """
 
@@ -163,9 +164,10 @@ def _decentralized_lines(system: SystemModel, mech: DecentralizedMechanism) -> l
 class _Main(click.Group):
     """Command group that reports the library's typed errors as one
     ``error:`` line on stderr and an exit code: 3 for a failed
-    precondition, 2 for any other invalid input or for running out of
-    memory, 4 for a solver failure (followed by the offending instance
-    when ``verify`` attached one)."""
+    precondition, 2 for any other invalid input, for running out of
+    memory or for a file that cannot be read or written, 4 for a solver
+    failure (followed by the offending instance when ``verify`` attached
+    one)."""
 
     def invoke(self, ctx):
         try:
@@ -181,6 +183,8 @@ class _Main(click.Group):
             _fail(message, 4)
         except MemoryError as err:
             _fail(f"out of memory: {err}", 2)
+        except OSError as err:
+            _fail(str(err), 2)
 
 
 @click.group(cls=_Main)

@@ -1,6 +1,7 @@
 """Optimal decentralized signaling for independent systems, the obedience
-characterization for binary signals, the payoff-weighted composition, and
-the single-location fallback for correlated systems.
+characterization for binary signals (conditions (I) and (II), decided by
+:func:`check_obedience`), the payoff-weighted composition, and the
+single-location fallback for correlated systems.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from . import oracle
 from .centralized import obedience_lp, priority_start
 from .lp import solve
 from .model import (
+    PROB_TOL,
     ZERO_MASS,
     CentralizedMechanism,
     CustomerStrategy,
@@ -159,7 +161,11 @@ def compose_optimal(
 def check_obedience(system: SystemModel, mech: DecentralizedMechanism) -> ObedienceVerdict:
     """Decide whether a binary-signal mechanism admits an optimal join-on-1 strategy.
 
-    Applies :func:`oracle.obedience_conditions` to the mechanism alone.
+    Condition (I) with witness k: location k never sends 0 on a
+    positive-prior state, has nonnegative prior-mean utility, and that
+    mean times every other location's signal-0 mass covers its signal-0
+    utility mass.  Condition (II): every location's signal-1 utility
+    mass is nonnegative and its signal-0 utility mass nonpositive.
     Condition (I) is reported first, with its smallest witness location.
     """
     require_valid(system)
@@ -168,15 +174,24 @@ def check_obedience(system: SystemModel, mech: DecentralizedMechanism) -> Obedie
     if mech.num_locations != system.num_locations or not mech.is_binary:
         raise InputError("check_obedience needs binary signals (0, 1) per location")
 
-    terms = [
-        oracle.obedience_terms(loc, part.table[None, :, 0], part.table[None, :, 1])
-        for loc, part in zip(system.locations, mech.parts)
-    ]
-    cond_i, cond_ii = oracle.obedience_conditions(terms, [np.zeros(1, dtype=int)] * len(terms))
-    witnesses = np.flatnonzero(cond_i[:, 0])
-    if witnesses.size:
-        return ObedienceVerdict(CONDITION_I, int(witnesses[0]))
-    return ObedienceVerdict(CONDITION_II if cond_ii[0] else NEITHER)
+    zero_mass, zero_util, means, never_zero = [], [], [], []
+    condition_ii = True
+    for loc, part in zip(system.locations, mech.parts):
+        prior, util = loc.prior_array(), loc.utility_array()
+        weighted = prior * util
+        zero, one = part.table[:, 0], part.table[:, 1]
+        zero_mass.append(float(zero @ prior))
+        zero_util.append(float(zero @ weighted))
+        means.append(float(np.dot(prior, util)))
+        never_zero.append(np.max(prior * zero) <= ZERO_MASS)
+        condition_ii = condition_ii and one @ weighted >= -PROB_TOL and zero_util[-1] <= PROB_TOL
+    for k, mean in enumerate(means):
+        others = (l for l in range(len(means)) if l != k)
+        if never_zero[k] and mean >= -PROB_TOL and all(
+            zero_mass[l] * mean >= zero_util[l] - PROB_TOL for l in others
+        ):
+            return ObedienceVerdict(CONDITION_I, k)
+    return ObedienceVerdict(CONDITION_II if condition_ii else NEITHER)
 
 
 def heterogeneous_compose(

@@ -116,7 +116,11 @@ def parse_instance(text: str) -> SystemModel:
 
 def read_instance(path) -> SystemModel:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"the instance file is not UTF-8 text: {err}") from None
+    return parse_instance(text)
 
 
 def format_instance(system: SystemModel) -> str:

@@ -152,7 +152,7 @@ class SystemModel:
             )
         try:
             flat = np.ravel_multi_index(tuple(state), self.state_sizes, order="F")
-        except ValueError:
+        except (ValueError, TypeError):
             raise InputError(
                 f"state tuple {tuple(state)} out of range for sizes {self.state_sizes}"
             ) from None

@@ -1,6 +1,5 @@
-"""Exact oracles: best response, evaluation, baseline mechanisms, the
-binary-signal obedience rule, and grid search over binary decentralized
-mechanisms.
+"""Exact oracles: best response, evaluation, baseline mechanisms, and
+grid search over binary decentralized mechanisms.
 
 Every signal's probability and posterior utilities are computed exactly,
 with no sampling, so these are the ground truth the solvers are tested
@@ -23,19 +22,17 @@ over the 2^K mirror images of each candidate, give its full score.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import (
-    PROB_TOL,
     ZERO_MASS,
     CentralizedMechanism,
     CustomerStrategy,
     DecentralizedMechanism,
     EvaluationReport,
     InputError,
-    LocationModel,
     LocationSignaling,
     SystemModel,
     binary_mechanism,
@@ -204,59 +201,6 @@ def no_information(system: SystemModel) -> DecentralizedMechanism:
     return DecentralizedMechanism(tuple(parts))
 
 
-class ObedienceTerms(NamedTuple):
-    """One location's obedience terms, one entry per candidate binary table."""
-
-    zero_mass: np.ndarray  # prior mass of signal 0
-    zero_util: np.ndarray  # utility mass of signal 0
-    one_util: np.ndarray  # utility mass of signal 1
-    never_zero: np.ndarray  # signal 0 is never sent on a positive-prior state
-    mean_util: float  # prior-mean utility
-
-
-def obedience_terms(loc: LocationModel, zero: np.ndarray, one: np.ndarray) -> ObedienceTerms:
-    """Obedience terms of candidate signal-0 and signal-1 tables ``(candidates, n_k)``."""
-    prior = loc.prior_array()
-    util = loc.utility_array()
-    weighted = prior * util
-    return ObedienceTerms(
-        zero @ prior,
-        zero @ weighted,
-        one @ weighted,
-        np.max(prior * zero, axis=1) <= ZERO_MASS,
-        float(np.dot(prior, util)),
-    )
-
-
-def obedience_conditions(
-    terms: Sequence[ObedienceTerms], rows: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The binary-signal obedience conditions of candidate mechanisms.
-
-    Candidate i uses row ``rows[k][i]`` of location k's terms.  Condition
-    (I) with witness k: location k never sends 0, has nonnegative
-    prior-mean utility, and that mean times every other location's
-    signal-0 mass covers its signal-0 utility mass.  Condition (II):
-    every location's signal-1 utility mass is nonnegative and signal-0
-    utility mass nonpositive.  Either one means the mechanism admits an
-    optimal join-on-1 strategy.  Returns condition (I) per witness
-    location, shape ``(K, m)``, and condition (II), shape ``(m,)``.
-    """
-    cond_ii = np.ones(rows[0].size, dtype=bool)
-    for t, r in zip(terms, rows):
-        cond_ii &= ((t.one_util >= -PROB_TOL) & (t.zero_util <= PROB_TOL))[r]
-    cond_i = np.zeros((len(terms), rows[0].size), dtype=bool)
-    for k, witness in enumerate(terms):
-        if witness.mean_util < -PROB_TOL:
-            continue
-        held = witness.never_zero[rows[k]]
-        for l, (other, r) in enumerate(zip(terms, rows)):
-            if l != k:
-                held &= (other.zero_mass * witness.mean_util >= other.zero_util - PROB_TOL)[r]
-        cond_i[k] = held
-    return cond_i, cond_ii
-
-
 def _grid_values(resolution: float) -> np.ndarray:
     if not 0.0 < resolution < 1.0:
         raise InputError(f"resolution must lie in (0, 1), got {resolution}")
@@ -272,32 +216,6 @@ def _grid_values(resolution: float) -> np.ndarray:
 def _location_combos(values: np.ndarray, num_states: int) -> np.ndarray:
     grids = np.meshgrid(*([values] * num_states), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, num_states)
-
-
-def _obedient_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, int]:
-    """Top score of the obedience filter and its first candidate number.
-
-    Blocks are runs of consecutive candidates: every location-1 grid
-    point against a run of the other locations' grid points.
-    """
-    counts = [c.shape[0] for c in combos]
-    head = counts[0]
-    terms = [obedience_terms(loc, 1.0 - c, c) for loc, c in zip(system.locations, combos)]
-    rest_total = math.prod(counts[1:])
-    best_value, best_flat = -math.inf, 0
-    batch = max(1, _BATCH // head)
-    for start in range(0, rest_total, batch):
-        flat = np.arange(start * head, min(start + batch, rest_total) * head)
-        rows = np.unravel_index(flat, counts, order="F")
-        cond_i, cond_ii = obedience_conditions(terms, rows)
-        miss = np.ones(rows[0].size)
-        for t, r in zip(terms, rows):
-            miss *= t.zero_mass[r]
-        scores = np.where(cond_ii | cond_i.any(axis=0), 1.0 - miss, -math.inf)
-        arg = int(np.argmax(scores))
-        if scores[arg] > best_value:
-            best_value, best_flat = float(scores[arg]), start * head + arg
-    return best_value, best_flat
 
 
 def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, int]:
@@ -379,25 +297,20 @@ def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, 
 
 
 def grid_search_decentralized(
-    system: SystemModel,
-    resolution: float,
-    *,
-    obedient_only: bool = False,
+    system: SystemModel, resolution: float
 ) -> tuple[DecentralizedMechanism, float]:
     """Enumerate binary-signal decentralized mechanisms on a parameter grid.
 
     Every sigma_k(1|w_k) ranges over {0, resolution, ..., 1}; 1/resolution
     must be an integer (within 1e-9), so the grid is closed under
-    v -> 1 - v.  By default each candidate is scored by best response plus
-    exact evaluation, so the result is a lower bound on the optimal
+    v -> 1 - v.  Each candidate is scored by best response plus exact
+    evaluation, so the result is a lower bound on the optimal
     decentralized throughput.  The customer acts on posteriors, not on
     signal names, so signal u's contribution at a candidate is the
     all-ones signal's contribution at the candidate with every location
     where u_k = 0 mirrored (sigma_k -> 1 - sigma_k); only the all-ones
     signal is scored, and the 2^K relabelings are summed by one reversed
-    add per location.  With ``obedient_only`` (independent priors only)
-    candidates are filtered to those admitting an optimal join-on-1
-    strategy and scored by the closed-form product throughput.
+    add per location.
 
     Candidates are numbered with location 1's grid point fastest (each
     location's grid points in ``itertools.product`` order of its states),
@@ -411,8 +324,6 @@ def grid_search_decentralized(
             f"grid search needs at most {GRID_PARAM_LIMIT} parameters, "
             f"instance has {sum(sizes)}"
         )
-    if obedient_only and system.prior_mode != "independent":
-        raise InputError("the obedience filter applies to independent priors only")
     values = _grid_values(resolution)
     steps = 1.0 / resolution
     if abs(steps - round(steps)) >= 1e-9:
@@ -427,7 +338,7 @@ def grid_search_decentralized(
         )
 
     combos = [_location_combos(values, n) for n in sizes]
-    best_value, best_flat = (_obedient_best if obedient_only else _folded_best)(system, combos)
+    best_value, best_flat = _folded_best(system, combos)
 
     chosen = np.unravel_index(best_flat, [c.shape[0] for c in combos], order="F")
     return binary_mechanism([c[i] for c, i in zip(combos, chosen)]), best_value

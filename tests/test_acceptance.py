@@ -69,14 +69,14 @@ def test_criterion_1_centralized_lp_correctness():
             assert report.throughput >= base.throughput - 1e-7
 
 
-@criterion(2, "no obedient grid mechanism beats the isolated composition")
+@criterion(2, "no grid mechanism beats the isolated composition")
 def test_criterion_2_composition_optimality():
     for t in range(50):
         rng = np.random.default_rng([SEED, 2, t])
         system = random_independent_system(rng, 2, 2)
         _, _, report = compose_optimal(system)
-        _, found = grid_search_decentralized(system, 0.02, obedient_only=True)
-        assert found <= report.throughput + 0.021
+        _, found = grid_search_decentralized(system, 0.02)
+        assert found <= report.throughput + 1e-9
 
 
 @criterion(3, "independence guarantee holds on 500 random instances")
@@ -159,7 +159,7 @@ def test_criterion_8_correlated_constants():
     assert abs(correlated_upper_bound(10) - 0.26) <= 1.5e-2
     assert abs(correlated_upper_bound(100) - 0.05) <= 1.5e-2
     for k in (2, 3):
-        _, full = max_join_bound(k, 0.01, mode="full")
+        _, full = max_join_bound(k, 0.01)
         assert abs(full - k * solve_balanced_share(k)) <= k * 0.01
 
 

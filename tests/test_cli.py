@@ -69,6 +69,16 @@ def test_solve_parse_error_exits_2(runner, tmp_path):
     assert "line" in result.stderr
 
 
+def test_solve_non_utf8_instance_exits_2_with_one_line(runner, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"locations": [{"name": "caf\u00e9"}]}'.encode("latin-1"))
+    result = runner.invoke(main, ["solve", str(bad)])
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: the instance file is not UTF-8 text")
+    assert isinstance(result.exception, SystemExit)  # no UnicodeDecodeError traceback
+
+
 def test_solve_validation_error_exits_2(runner, tmp_path):
     path = tmp_path / "invalid.json"
     path.write_text(
@@ -384,6 +394,15 @@ def test_output_flag_writes_file(runner, example_path, tmp_path):
     assert result.output == ""
     rows = list(csv.DictReader(out.open()))
     assert rows[0]["name"] == "centralized"
+
+
+def test_unwritable_output_exits_2_with_one_line(runner, tmp_path):
+    out = tmp_path / "missing" / "out.csv"
+    result = runner.invoke(main, ["--output", str(out), "sweep", "tightness", "--K", "2..2"])
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: [Errno 2] No such file or directory")
+    assert isinstance(result.exception, SystemExit)  # no FileNotFoundError traceback
 
 
 def test_verify_failure_prints_replayable_instance(runner, monkeypatch):

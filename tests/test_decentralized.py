@@ -15,6 +15,7 @@ from sigmech.decentralized import (
     CONDITION_I,
     CONDITION_II,
     NEITHER,
+    ObedienceVerdict,
     check_obedience,
     compose_optimal,
     correlated_fallback,
@@ -182,10 +183,22 @@ def test_obedience_composition_is_condition_ii():
 
 
 def test_obedience_always_signal_one_is_condition_i():
+    # Condition (II) holds too: the signal-1 utility mass is the prior
+    # mean 0.2 and signal 0 is never sent.  Condition (I) is reported first.
     system = SystemModel((location(p=0.6),))
-    verdict = check_obedience(system, binary_mechanism([[1.0, 1.0]]))
-    assert verdict.kind == CONDITION_I
-    assert verdict.location == 0
+    mech = binary_mechanism([[1.0, 1.0]])
+    weighted = system.locations[0].prior_array() * system.locations[0].utility_array()
+    assert weighted @ mech.parts[0].table[:, 1] >= 0.0
+    assert weighted @ mech.parts[0].table[:, 0] <= 0.0
+    assert check_obedience(system, mech) == ObedienceVerdict(CONDITION_I, 0)
+
+
+def test_obedience_witness_skips_a_location_with_negative_mean():
+    # Both locations always send 1; only location 1 is worth joining on its prior.
+    system = SystemModel((location(p=0.2, name="poor"), location(p=0.6, name="rich")))
+    assert system.locations[0].expected_utility() < 0.0
+    mech = binary_mechanism([[1.0, 1.0], [1.0, 1.0]])
+    assert check_obedience(system, mech) == ObedienceVerdict(CONDITION_I, 1)
 
 
 def test_obedience_neither_example():

@@ -68,6 +68,8 @@ def test_joint_prior_rejects_out_of_range_indices():
         joint_prior(system, (-1, 0))
     with pytest.raises(InputError):
         joint_prior(system, (0,))
+    with pytest.raises(InputError):
+        joint_prior(system, (0.5, 0))
 
 
 def test_mixed_radix_order_first_location_fastest():

@@ -285,13 +285,14 @@ def test_grid_search_never_beats_composition_on_independent_instances():
     # Best-response scoring over every binary candidate stays below the
     # isolated composition: grid candidates are only coarser versions of
     # what the composition already optimizes over.
-    rng = np.random.default_rng(15)
-    for _ in range(8):
-        system = random_independent_system(rng, 2, 2)
-        _, _, report = compose_optimal(system)
-        _, found = grid_search_decentralized(system, 0.05)
-        assert found <= report.throughput + 1e-9
-        assert found >= report.throughput - 2 * 0.05 - 1e-9
+    for seed, count in ((15, 8), (13, 5)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            system = random_independent_system(rng, 2, 2)
+            _, _, report = compose_optimal(system)
+            _, found = grid_search_decentralized(system, 0.05)
+            assert found <= report.throughput + 1e-9
+            assert found >= report.throughput - 2 * 0.05 - 1e-9
 
 
 def test_grid_search_never_beats_centralized():
@@ -303,24 +304,6 @@ def test_grid_search_never_beats_centralized():
         _, central = solve_centralized(system)
         _, found = grid_search_decentralized(system, 0.05)
         assert found <= central.throughput + 1e-7
-
-
-def test_grid_search_obedient_filter_matches_composition():
-    from sigmech.decentralized import check_obedience
-
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        system = random_independent_system(rng, 2, 2)
-        _, _, report = compose_optimal(system)
-        mech, found = grid_search_decentralized(system, 0.05, obedient_only=True)
-        assert found <= report.throughput + 1e-9
-        assert found >= report.throughput - 2 * 0.05 - 1e-9
-        # the winner really is obedient and scores its product throughput
-        assert check_obedience(system, mech).holds
-        miss = 1.0
-        for loc, part in zip(system.locations, mech.parts):
-            miss *= 1.0 - float(loc.prior_array() @ part.table[:, 1])
-        assert found == pytest.approx(1.0 - miss, abs=1e-12)
 
 
 def _all_grid_candidates(system, resolution):
@@ -432,33 +415,13 @@ def test_grid_search_requires_integer_steps():
     # {0, 0.3, 0.6, 0.9, 1} is not closed under v -> 1 - v.
     with pytest.raises(InputError, match="1/resolution"):
         grid_search_decentralized(single_location(), 0.3)
-    with pytest.raises(InputError, match="1/resolution"):
-        grid_search_decentralized(pair_system(), 0.3, obedient_only=True)
     # 1/3 is accepted: its three steps lie within 1e-9 of an integer.
     system = pair_system()
     _, found = grid_search_decentralized(system, 1.0 / 3.0)
     assert found == pytest.approx(_naive_grid_value(system, 1.0 / 3.0), abs=1e-12)
     # The join-envelope grid has no such symmetry to rely on.
-    _, value = max_join_bound(2, 0.3, mode="full")
+    _, value = max_join_bound(2, 0.3)
     assert 0.0 < value <= 1.0
-
-
-def test_obedient_grid_equals_naive_filtered_loop():
-    from sigmech.decentralized import check_obedience
-
-    rng = np.random.default_rng(17)
-    for _ in range(3):
-        system = random_independent_system(rng, 2, 2)
-        naive = -1.0
-        for mech in _all_grid_candidates(system, 0.25):
-            if not check_obedience(system, mech).holds:
-                continue
-            miss = 1.0
-            for loc, part in zip(system.locations, mech.parts):
-                miss *= 1.0 - float(loc.prior_array() @ part.table[:, 1])
-            naive = max(naive, 1.0 - miss)
-        _, found = grid_search_decentralized(system, 0.25, obedient_only=True)
-        assert found == pytest.approx(naive, abs=1e-12)
 
 
 def test_best_response_zero_probability_signals_leave():
