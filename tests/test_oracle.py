@@ -285,14 +285,13 @@ def test_grid_search_never_beats_composition_on_independent_instances():
     # Best-response scoring over every binary candidate stays below the
     # isolated composition: grid candidates are only coarser versions of
     # what the composition already optimizes over.
-    for seed, count in ((15, 8), (13, 5)):
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            system = random_independent_system(rng, 2, 2)
-            _, _, report = compose_optimal(system)
-            _, found = grid_search_decentralized(system, 0.05)
-            assert found <= report.throughput + 1e-9
-            assert found >= report.throughput - 2 * 0.05 - 1e-9
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        system = random_independent_system(rng, 2, 2)
+        _, _, report = compose_optimal(system)
+        _, found = grid_search_decentralized(system, 0.05)
+        assert found <= report.throughput + 1e-9
+        assert found >= report.throughput - 2 * 0.05 - 1e-9
 
 
 def test_grid_search_never_beats_centralized():
@@ -304,6 +303,26 @@ def test_grid_search_never_beats_centralized():
         _, central = solve_centralized(system)
         _, found = grid_search_decentralized(system, 0.05)
         assert found <= central.throughput + 1e-7
+
+
+def test_grid_search_obedient_filter_matches_composition():
+    # The grid lands within two grid steps below the composition, and the
+    # composition's own mechanism is obedient and scores its product
+    # throughput, so the best-response grid needs no obedient filter.
+    from sigmech.decentralized import check_obedience
+
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        system = random_independent_system(rng, 2, 2)
+        mech, _, report = compose_optimal(system)
+        _, found = grid_search_decentralized(system, 0.05)
+        assert found <= report.throughput + 1e-9
+        assert found >= report.throughput - 2 * 0.05 - 1e-9
+        assert check_obedience(system, mech).holds
+        miss = 1.0
+        for loc, part in zip(system.locations, mech.parts):
+            miss *= 1.0 - float(loc.prior_array() @ part.table[:, 1])
+        assert report.throughput == pytest.approx(1.0 - miss, abs=1e-12)
 
 
 def _all_grid_candidates(system, resolution):
