@@ -43,7 +43,7 @@ def union_guarantee_gap(shares: Sequence[float]) -> float:
     if not xs:
         raise InputError("need at least one share")
     for v in xs:
-        if v < 0.0 or v > 1.0:
+        if not 0.0 <= v <= 1.0:
             raise InputError(f"share {v} outside [0, 1]")
     total = sum(xs)
     if total > 1.0 + 1e-12:

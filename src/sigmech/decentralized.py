@@ -1,7 +1,8 @@
 """Optimal decentralized signaling for independent systems, the obedience
 characterization for binary signals (conditions (I) and (II), decided by
 :func:`check_obedience`), the payoff-weighted composition, and the
-single-location fallback for correlated systems.
+single-location fallback for correlated systems.  The mechanisms the last
+two take as input must fit the system (:func:`model.require_fit`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     PreconditionError,
     SystemModel,
     binary_mechanism,
+    require_fit,
     require_valid,
     state_indices,
 )
@@ -171,7 +173,8 @@ def check_obedience(system: SystemModel, mech: DecentralizedMechanism) -> Obedie
     require_valid(system)
     if system.prior_mode != "independent":
         raise PreconditionError("the obedience conditions apply to independent priors")
-    if mech.num_locations != system.num_locations or not mech.is_binary:
+    require_fit(system, mech)
+    if not mech.is_binary:
         raise InputError("check_obedience needs binary signals (0, 1) per location")
 
     zero_mass, zero_util, means, never_zero = [], [], [], []
@@ -254,11 +257,9 @@ def correlated_fallback(
     centralized throughput.
     """
     require_valid(system)
-    num_locs = system.num_locations
-    if central.signals != tuple(range(num_locs + 1)):
+    require_fit(system, central)
+    if central.signals != tuple(range(system.num_locations + 1)):
         raise InputError("the centralized mechanism must use signals 0..K")
-    if central.table.shape[0] != system.state_count:
-        raise InputError("mechanism table does not match the system's state space")
 
     recommended = system.joint_vector[:, None] * central.table[:, 1:]  # (states, K)
     mass = recommended.sum(axis=0)

@@ -193,8 +193,12 @@ def random_independent_system(
     ``num_locations`` and ``states`` are fixed counts or inclusive
     ranges; ``payoff_range`` draws heterogeneous payoffs uniformly
     (default: every payoff is 1).  ``require_negative_mean`` redraws
-    utilities until each location's prior-mean utility is negative.
+    utilities until each location's prior-mean utility is negative; a
+    one-state location never gets one, so ``states`` must exclude 1.
     """
+    fewest = states[0] if isinstance(states, tuple) else states
+    if require_negative_mean and fewest <= 1:
+        raise InputError("require_negative_mean needs at least two states per location")
     if isinstance(num_locations, tuple):
         num_locations = int(rng.integers(num_locations[0], num_locations[1] + 1))
     locations = []

@@ -316,6 +316,32 @@ def require_valid(system: SystemModel) -> None:
         raise InputError("invalid system: " + "; ".join(problems))
 
 
+def require_fit(system: SystemModel, mech: CentralizedMechanism | DecentralizedMechanism) -> None:
+    """Raise :class:`InputError` unless ``mech``'s tables fit ``system``.
+
+    A decentralized mechanism has one table per location, location k's
+    with n_k rows and one column per signal; a centralized one has S
+    rows and one column per signal.
+    """
+    if isinstance(mech, DecentralizedMechanism):
+        if mech.num_locations != system.num_locations:
+            raise InputError(
+                f"mechanism covers {mech.num_locations} locations, system has "
+                f"{system.num_locations}"
+            )
+        for k, (part, size) in enumerate(zip(mech.parts, system.state_sizes)):
+            if part.table.shape != (size, len(part.signals)):
+                raise InputError(
+                    f"location {k} table shape {part.table.shape} does not match "
+                    f"{size} states x {len(part.signals)} signals"
+                )
+    elif mech.table.shape != (system.state_count, mech.num_signals):
+        raise InputError(
+            f"mechanism table shape {mech.table.shape} does not match "
+            f"{system.state_count} states x {mech.num_signals} signals"
+        )
+
+
 def _shape_problems(table: np.ndarray, what: str, num_signals: int, signal_axis: int) -> list[str]:
     """A problem unless ``table`` is 2-D with one entry per signal along ``signal_axis``."""
     if table.ndim == 2 and table.shape[signal_axis] == num_signals:

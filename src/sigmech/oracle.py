@@ -9,7 +9,7 @@ prior every joint signal's probability and utility masses are products
 of per-location sums, so no array over the state space is built either;
 on a joint prior the mechanism is contracted one location's table at a
 time against the joint prior.  A centralized mechanism's table is used
-as given.
+as given.  Every table must first fit the system (:func:`model.require_fit`).
 
 The grid search scores one joint signal per candidate, not 2^K.  The
 customer acts on posteriors, not on signal names, so relabeling a
@@ -37,6 +37,7 @@ from .model import (
     SystemModel,
     binary_mechanism,
     kron_rows,
+    require_fit,
     require_valid,
 )
 
@@ -80,18 +81,8 @@ def _signal_masses(
     contracted one location at a time against the weight tensor
     ``[mu; mu*u_1; ...; mu*u_K]``.
     """
+    require_fit(system, mech)
     if isinstance(mech, DecentralizedMechanism):
-        if mech.num_locations != system.num_locations:
-            raise InputError(
-                f"mechanism covers {mech.num_locations} locations, system has "
-                f"{system.num_locations}"
-            )
-        for k, (part, size) in enumerate(zip(mech.parts, system.state_sizes)):
-            if part.table.shape != (size, len(part.signals)):
-                raise InputError(
-                    f"location {k} table shape {part.table.shape} does not match "
-                    f"{size} states x {len(part.signals)} signals"
-                )
         num_locs = system.num_locations
         if system.joint is None:
             blocks = []
@@ -110,11 +101,6 @@ def _signal_masses(
             masses = np.tensordot(masses, part.table, axes=(1, 0))
         masses = masses.reshape(num_locs + 1, -1)
         return mech.joint_signals, masses[0], masses[1:]
-    if mech.table.shape != (system.state_count, mech.num_signals):
-        raise InputError(
-            f"mechanism table shape {mech.table.shape} does not match "
-            f"{system.state_count} states x {mech.num_signals} signals"
-        )
     mass = system.joint_vector[:, None] * mech.table
     return mech.signals, mass.sum(axis=0), system.utility_matrix.T @ mass
 

@@ -52,6 +52,9 @@ def test_union_gap_reference_values():
         union_guarantee_gap((1.2,))
     with pytest.raises(InputError):
         union_guarantee_gap(())
+    for shares in ((float("nan"),), (0.5, float("nan"))):
+        with pytest.raises(InputError):
+            union_guarantee_gap(shares)
 
 
 @settings(max_examples=200, deadline=None)

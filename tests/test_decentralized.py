@@ -213,6 +213,10 @@ def test_obedience_rejects_non_binary_and_joint():
 
     with pytest.raises(InputError):
         check_obedience(system, full_information(system))
+    with pytest.raises(InputError, match="covers 1 locations, system has 2"):
+        check_obedience(system, binary_mechanism([[0.5, 0.5]]))
+    with pytest.raises(InputError, match=r"location 0 table shape \(1, 2\)"):
+        check_obedience(system, binary_mechanism([[0.5], [0.5, 0.5]]))
     joint = random_joint_system(np.random.default_rng(1), 2)
     with pytest.raises(PreconditionError):
         check_obedience(joint, binary_mechanism([[0.5, 0.5], [0.5, 0.5]]))
@@ -444,6 +448,11 @@ def test_fallback_on_correlated_worst_case():
     mech = correlated_fallback(system, central)
     fb = evaluate(system, mech, best_response(system, mech))
     assert fb.throughput >= 0.5 - 1e-7
+
+    # a table one column short of signals 0..K is refused, not read as given
+    narrow = CentralizedMechanism((0, 1, 2), np.full((9, 2), 0.5))
+    with pytest.raises(InputError, match=r"mechanism table shape \(9, 2\)"):
+        correlated_fallback(system, narrow)
 
 
 def test_fallback_never_recommending_gives_zero():

@@ -15,7 +15,7 @@ from sigmech.instances import (
     read_instance,
     write_instance,
 )
-from sigmech.model import validate
+from sigmech.model import InputError, validate
 
 EXAMPLE = """
 {
@@ -123,6 +123,16 @@ def test_random_generator_negative_mean_and_payoffs():
         for loc in system.locations:
             assert loc.expected_utility() < 0.0
             assert 0.0 <= loc.payoff <= 3.0
+
+
+def test_negative_mean_needs_two_states_per_location():
+    # A one-state location's prior mean is its one utility, which the
+    # generator never leaves negative.
+    for states in (1, (1, 3)):
+        with pytest.raises(InputError, match="at least two states"):
+            random_independent_system(
+                np.random.default_rng(3), 1, states, require_negative_mean=True
+            )
 
 
 def test_random_joint_generator_properties():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sigmech import oracle
 from sigmech.bounds import make_tightness_instance, max_join_bound
-from sigmech.decentralized import compose_optimal
+from sigmech.decentralized import check_obedience, compose_optimal
 from sigmech.instances import random_independent_system, random_joint_system
 from sigmech.model import (
     CustomerStrategy,
@@ -145,6 +145,9 @@ def test_signal_table_width_must_match_its_signals(joint):
     strategy = CustomerStrategy(mech.joint_signals, np.eye(3)[[0, 1, 2, 0]])
     with pytest.raises(InputError, match="location 1 table shape"):
         evaluate(system, mech, strategy)
+    if not joint:
+        with pytest.raises(InputError, match="location 1 table shape"):
+            check_obedience(system, mech)
 
 
 def _dense_masses(system, mech):
