@@ -29,6 +29,7 @@ from .model import (
     SystemModel,
     binary_mechanism,
     require_fit,
+    require_stochastic,
     require_valid,
     state_indices,
 )
@@ -174,6 +175,7 @@ def check_obedience(system: SystemModel, mech: DecentralizedMechanism) -> Obedie
     if system.prior_mode != "independent":
         raise PreconditionError("the obedience conditions apply to independent priors")
     require_fit(system, mech)
+    require_stochastic(mech)
     if not mech.is_binary:
         raise InputError("check_obedience needs binary signals (0, 1) per location")
 
@@ -258,6 +260,7 @@ def correlated_fallback(
     """
     require_valid(system)
     require_fit(system, central)
+    require_stochastic(central)
     if central.signals != tuple(range(system.num_locations + 1)):
         raise InputError("the centralized mechanism must use signals 0..K")
 

@@ -180,6 +180,16 @@ def _random_utilities(
     raise SolverError("could not draw utilities meeting the constraints")
 
 
+def _count_range(count: int | tuple[int, int], what: str) -> tuple[int, int]:
+    """``(low, high)`` of a fixed count or inclusive range, both at least 1."""
+    low, high = count if isinstance(count, tuple) else (count, count)
+    if low < 1 or high < low:
+        raise InputError(
+            f"{what} must be a count or a range low..high with 1 <= low <= high, got {count}"
+        )
+    return low, high
+
+
 def random_independent_system(
     rng: np.random.Generator,
     num_locations: int | tuple[int, int] = (1, 5),
@@ -191,12 +201,14 @@ def random_independent_system(
     """Seeded random independent instance.
 
     ``num_locations`` and ``states`` are fixed counts or inclusive
-    ranges; ``payoff_range`` draws heterogeneous payoffs uniformly
+    ranges, at least 1 (anything else raises :class:`InputError` before
+    any draw); ``payoff_range`` draws heterogeneous payoffs uniformly
     (default: every payoff is 1).  ``require_negative_mean`` redraws
     utilities until each location's prior-mean utility is negative; a
     one-state location never gets one, so ``states`` must exclude 1.
     """
-    fewest = states[0] if isinstance(states, tuple) else states
+    _count_range(num_locations, "num_locations")
+    fewest, _ = _count_range(states, "states")
     if require_negative_mean and fewest <= 1:
         raise InputError("require_negative_mean needs at least two states per location")
     if isinstance(num_locations, tuple):
@@ -230,6 +242,8 @@ def random_joint_system(
     states: int = 2,
 ) -> SystemModel:
     """Seeded random instance with an explicit (generally correlated) joint prior."""
+    _count_range(num_locations, "num_locations")
+    _count_range(states, "states")
     sizes = (states,) * num_locations
     raw = rng.uniform(0.0, 1.0, math.prod(sizes))
     table = raw / raw.sum()

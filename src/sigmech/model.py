@@ -342,6 +342,13 @@ def require_fit(system: SystemModel, mech: CentralizedMechanism | DecentralizedM
         )
 
 
+def require_stochastic(mech: CentralizedMechanism | DecentralizedMechanism) -> None:
+    """Raise :class:`InputError` listing ``mech.violations()``, if any."""
+    problems = mech.violations()
+    if problems:
+        raise InputError("invalid mechanism: " + "; ".join(problems))
+
+
 def _shape_problems(table: np.ndarray, what: str, num_signals: int, signal_axis: int) -> list[str]:
     """A problem unless ``table`` is 2-D with one entry per signal along ``signal_axis``."""
     if table.ndim == 2 and table.shape[signal_axis] == num_signals:

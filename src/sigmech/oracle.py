@@ -50,10 +50,19 @@ GRID_PARAM_LIMIT = 8
 # Each location's grid is built whole, so this also bounds its memory.
 GRID_CANDIDATE_LIMIT = 10**7
 # Grid candidates scored per block, unless one location-1 grid times the
-# 2^(K-1) mirror images of an orbit is larger.  A block's float arrays
-# (128 KiB each) stay in cache: with mirror-orbit blocks 2^14 and 2^15
-# tied as the fastest of 2^13..2^18 on a 2-vCPU x86 VM (BENCH_grid_fold.json).
+# 2^(K-1) mirror images of an orbit is larger.  A block's buffers, allocated
+# once per call, hold K + 1 masses, two floats and two bools per candidate;
+# at 2^14 candidates each float buffer (128 KiB) stays in cache: with
+# mirror-orbit blocks 2^14 and 2^15 tied as the fastest of 2^13..2^18 on a
+# 2-vCPU x86 VM (BENCH_grid_fold.json).  Near the candidate limit one block
+# can hold a whole location-1 grid: one 8-state location at resolution 1/6
+# has 7^8 grid points, so 196 MB of buffers beside its 369 MB grid.
 _BATCH = 1 << 14
+# Rows of the other locations' masses computed at once, in whole blocks: a
+# chunk holds max(_CHUNK_ROWS, rows of one block) rows of at most 45 floats
+# (signal products, combos and masses per location-1 state), under 2 MB at
+# any grid the candidate limit admits.
+_CHUNK_ROWS = 1 << 12
 
 Mechanism = CentralizedMechanism | DecentralizedMechanism
 
@@ -209,16 +218,23 @@ def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, 
 
     Only the all-ones joint signal is scored.  Signal u's contribution at
     candidate c is the all-ones contribution at c with every location
-    where u_k = 0 mirrored (combo index i -> count - 1 - i), so one
-    reversed add per location axis sums all 2^K signals.  A block holds
-    orbit representatives (every other location's combo index in its
-    lower half, middle included), their 2^(K-1) mirrors and every
-    location-1 grid point.
+    where u_k = 0 mirrored (combo index i -> count - 1 - i), so its sum
+    over c's mirror orbit is c's score.  A block holds orbit
+    representatives (every other location's combo index in its lower
+    half, middle included), their 2^(K-1) mirrors and every location-1
+    grid point.  Each mirror axis is folded by adding its two halves,
+    the most significant first, and the location-1 axis by adding the
+    reversed columns onto the first ceil(count/2), so only the
+    representatives keep a score.  The other locations' masses are
+    computed for a chunk of blocks at once; each block then does one
+    GEMM against location 1's grid and the scoring, in buffers allocated
+    once per call.
     """
     sizes = system.state_sizes
     num_locs = system.num_locations
     counts = [c.shape[0] for c in combos]
     head = counts[0]
+    half_head = (head + 1) // 2
     # weights[r, (a, w_1)] is the mass [mu; mu*u_1; ...; mu*u_K][a] of the
     # state with location-1 index w_1 and other-locations index r.
     weights = _state_weights(system).reshape(-1, sizes[0], num_locs + 1).transpose(0, 2, 1)
@@ -231,54 +247,96 @@ def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, 
     mirrored = ((np.arange(mirrors)[:, None] >> np.arange(num_locs - 1)) & 1).astype(bool)
     strides = np.cumprod([1] + counts[:-1])
     reps_total = math.prod(halves)
+    batch = max(1, _BATCH // (mirrors * head))  # orbits per block
+    rows = batch * mirrors
+    chunk = batch * max(1, _CHUNK_ROWS // rows)  # orbits per chunk
+
+    # One block's buffers, flat; a shorter last block uses their leading part.
+    lhs = np.empty(rows * (num_locs + 1) * sizes[0])
+    mass = np.empty(rows * (num_locs + 1) * head)
+    valid = np.empty(rows * head, dtype=bool)
+    joins = np.empty(rows * head, dtype=bool)
+    # scores and spare take turns as source and target of the folds.
+    scores = np.empty(rows * head)
+    spare = np.empty(rows * head)
+
+    def lead(buffer: np.ndarray, *shape: int) -> np.ndarray:
+        return buffer[: math.prod(shape)].reshape(shape)
+
     best_value, best_flat = -math.inf, 0
-    batch = max(1, _BATCH // (mirrors * head))
-    for start in range(0, reps_total, batch):
-        rem = np.arange(start, min(start + batch, reps_total))
-        size = rem.size * mirrors
-        # sig[i, r]: chance that row i's other locations all send 1 in state r;
-        # rest[i]: row i's candidate number with location 1 at grid point 0.
-        picks = [np.ones((size, 1))]  # sig's one column when K = 1
-        rest = np.zeros(size, dtype=np.int64)
+    for start in range(0, reps_total, chunk):
+        rem = np.arange(start, min(start + chunk, reps_total))
+        # rest[j]: representative j's candidate number with location 1 at
+        # grid point 0, the smallest in its orbit; sig[i, r]: chance that
+        # row i's other locations all send 1 in state r, rows ordered
+        # (representative, mirror pattern).
+        rest = np.zeros(rem.size, dtype=np.int64)
+        picks = [np.ones((rem.size * mirrors, 1))]  # sig's one column when K = 1
         for k in range(1, num_locs):
             low = rem % halves[k - 1]
             rem = rem // halves[k - 1]
+            rest += low * strides[k]
             index = np.where(mirrored[:, k - 1], counts[k] - 1 - low[:, None], low[:, None]).ravel()
-            rest += index * strides[k]
             picks.append(combos[k][index])
         sig = kron_rows(picks)
-        # rest_mass[(a, i), w_1]: row i's mass a with location 1 at w_1.
-        rest_mass = (sig @ weights).reshape(size, num_locs + 1, -1)
-        rest_mass = rest_mass.transpose(1, 0, 2).reshape(-1, sizes[0])
-        mass = (rest_mass @ combos[0].T).reshape(num_locs + 1, size, head)
-        prob, wins = mass[0], mass[1:]
-        valid = prob > ZERO_MASS
-        # Two rules, because the fast one pays: on the 12 decentral-oracle grid
-        # instances (one run each, 2-vCPU x86 VM) the grid search took 0.53 s
-        # with it, 3.43 s with the general rule alone and 0.80 s with one rule
-        # written in mass terms.
-        if always_join_on_tie:
-            # With every payoff positive, the system-favoring best response
-            # joins exactly when some location's posterior clears the tie
-            # tolerance.
-            joins = wins.max(axis=0) >= -TIE_TOL * prob
-        else:
-            utilities = np.concatenate(
-                [np.zeros((1,) + prob.shape), wins / np.where(valid, prob, 1.0)]
-            )
-            joins = _system_choice(utilities, system.payoffs) != 0
-        scores = np.where(valid & joins, prob, 0.0)
-        scores = scores.reshape((-1,) + (2,) * (num_locs - 1) + (head,))
-        for axis in range(1, scores.ndim):
-            scores = scores + np.flip(scores, axis)
-        # The folded scores are exactly equal across each mirror orbit, and
-        # blocks take the representatives in candidate order, so the first
-        # block that reaches the top holds the first best-scoring candidate.
-        scores = scores.reshape(size, head)
-        top = scores.max()
-        if top > best_value:
-            rows, heads = np.nonzero(scores == top)
-            best_value, best_flat = float(top), int((rest[rows] + heads).min())
+        # chunk_mass[i, a, w_1]: row i's mass a with location 1 at w_1.
+        chunk_mass = (sig @ weights).reshape(-1, num_locs + 1, sizes[0])
+        for first in range(0, rest.size, batch):
+            reps = min(batch, rest.size - first)
+            size = reps * mirrors
+            block = lead(lhs, num_locs + 1, size, sizes[0])
+            rows_of_block = chunk_mass[first * mirrors : first * mirrors + size]
+            np.copyto(block, rows_of_block.transpose(1, 0, 2))
+            out = lead(mass, (num_locs + 1) * size, head)
+            np.matmul(block.reshape(-1, sizes[0]), combos[0].T, out=out)
+            prob, wins = out[:size], out[size:].reshape(num_locs, size, head)
+            ok, join = lead(valid, size, head), lead(joins, size, head)
+            score = lead(scores, size, head)
+            np.greater(prob, ZERO_MASS, out=ok)
+            # Two rules, because the fast one pays: on the 12 decentral-oracle
+            # grid instances (best of 5 runs, 2-vCPU x86 VM) the grid search
+            # took 0.28 s with it, 1.71 s with the general rule alone and
+            # 0.40 s with one rule written in mass terms.
+            if always_join_on_tie:
+                # With every payoff positive, the system-favoring best
+                # response joins exactly when some location's posterior
+                # clears the tie tolerance.
+                peak = wins[0]
+                for k in range(1, num_locs):
+                    peak = np.maximum(peak, wins[k], out=lead(spare, size, head))
+                np.multiply(prob, -TIE_TOL, out=score)
+                np.greater_equal(peak, score, out=join)
+            else:
+                utilities = np.concatenate(
+                    [np.zeros((1,) + prob.shape), wins / np.where(ok, prob, 1.0)]
+                )
+                np.not_equal(_system_choice(utilities, system.payoffs), 0, out=join)
+            np.logical_and(ok, join, out=ok)
+            # prob * keep is np.where(ok, prob, 0.0) up to the sign of a zero
+            # score, which no orbit's sum keeps: its members' probabilities
+            # add up to 1.
+            keep = lead(spare, size, head)
+            np.copyto(keep, ok)
+            np.multiply(prob, keep, out=score)
+            # Fold the mirror axes, most significant bit first, then the
+            # location-1 axis onto its first half_head columns.
+            source, target, width = scores, spare, mirrors * head
+            while width > head:
+                width //= 2
+                pair = lead(source, reps, 2, width)
+                np.add(pair[:, 0], pair[:, 1], out=lead(target, reps, width))
+                source, target = target, source
+            folded = lead(source, reps, head)
+            top_rows = lead(target, reps, half_head)
+            np.add(folded[:, :half_head], folded[:, ::-1][:, :half_head], out=top_rows)
+            # Folded scores are exactly equal across each orbit, and blocks
+            # take the representatives in candidate order, so the first
+            # block that reaches the top holds the first best candidate.
+            top = top_rows.max()
+            if top > best_value:
+                winners, heads = np.nonzero(top_rows == top)
+                best_value = float(top)
+                best_flat = int((rest[first + winners] + heads).min())
     return best_value, best_flat
 
 
@@ -295,8 +353,8 @@ def grid_search_decentralized(
     signal names, so signal u's contribution at a candidate is the
     all-ones signal's contribution at the candidate with every location
     where u_k = 0 mirrored (sigma_k -> 1 - sigma_k); only the all-ones
-    signal is scored, and the 2^K relabelings are summed by one reversed
-    add per location.
+    signal is scored, and the 2^K relabelings are summed by one add per
+    location onto one representative of each mirror orbit.
 
     Candidates are numbered with location 1's grid point fastest (each
     location's grid points in ``itertools.product`` order of its states),

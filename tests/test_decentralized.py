@@ -455,6 +455,16 @@ def test_fallback_on_correlated_worst_case():
         correlated_fallback(system, narrow)
 
 
+def test_fallback_and_obedience_refuse_non_stochastic_tables():
+    # Tables of the right shape are still refused when violations() is not empty.
+    rows_sum_to_nine = CentralizedMechanism((0, 1, 2), np.full((9, 3), 3.0))
+    with pytest.raises(InputError, match="row sums off by up to 8"):
+        correlated_fallback(make_correlated_instance(2, 10.0), rows_sum_to_nine)
+    negative = binary_mechanism([[2.0, 0.5], [0.5, 0.5]])  # sigma(0|bad) = -1
+    with pytest.raises(InputError, match="location 0 table: negative entry -1"):
+        check_obedience(pair_system(), negative)
+
+
 def test_fallback_never_recommending_gives_zero():
     system = pair_system()
     table = np.zeros((4, 3))

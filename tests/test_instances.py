@@ -135,6 +135,24 @@ def test_negative_mean_needs_two_states_per_location():
             )
 
 
+def test_generators_refuse_empty_counts_before_drawing():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    cases = [
+        (random_independent_system, (1, 0), "states"),
+        (random_independent_system, (0, 2), "num_locations"),
+        (random_independent_system, ((2, 1), 2), "num_locations"),
+        (random_independent_system, (2, (3, 2)), "states"),
+        (random_independent_system, (2, (0, 2)), "states"),
+        (random_joint_system, (0, 2), "num_locations"),
+        (random_joint_system, (2, 0), "states"),
+    ]
+    for generate, args, what in cases:
+        with pytest.raises(InputError, match=what):
+            generate(rng, *args)
+    assert rng.bit_generator.state == before
+
+
 def test_random_joint_generator_properties():
     rng = np.random.default_rng(9)
     for _ in range(20):

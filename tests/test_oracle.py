@@ -1,6 +1,7 @@
 """Best-response, evaluation, baseline, and grid-search oracle tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,40 @@ def test_grid_search_with_small_blocks_matches_default(monkeypatch):
         assert found == pytest.approx(value, abs=1e-12)
         check = evaluate(system, mech, best_response(system, mech))
         assert check.throughput == pytest.approx(found, abs=1e-12)
+
+
+def test_grid_search_with_one_block_chunks_matches_naive_loop(monkeypatch):
+    # Chunks of one block, some blocks of one orbit: the hoisted masses
+    # line up with their blocks, and shorter last blocks and chunks score
+    # only their own rows.
+    import sigmech.oracle as oracle
+
+    rng = np.random.default_rng(23)
+    cases = [
+        (_with_payoffs(random_joint_system(rng, 2, 2), (1.5, -0.5)), 0.25, 1),
+        (random_independent_system(rng, 3, 2), 0.5, 1),
+        (random_independent_system(rng, 2, (1, 3)), 0.5, oracle._BATCH),
+    ]
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 1)
+    for system, res, batch in cases:
+        monkeypatch.setattr(oracle, "_BATCH", batch)
+        mech, found = grid_search_decentralized(system, res)
+        assert found == pytest.approx(_naive_grid_value(system, res), abs=1e-12)
+        check = evaluate(system, mech, best_response(system, mech))
+        assert check.throughput == pytest.approx(found, abs=1e-12)
+
+
+def test_grid_search_memory_stays_flat():
+    # K=4 binary at resolution 1/6 is 7^8 = 5.8M candidates in about 380
+    # blocks; hoisting every block's masses at once traces about 26 MiB.
+    system = random_independent_system(np.random.default_rng(5), 4, 2)
+    tracemalloc.start()
+    try:
+        grid_search_decentralized(system, 1.0 / 6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_grid_search_first_candidate_wins_exact_ties(monkeypatch):
