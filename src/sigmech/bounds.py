@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import InputError, LocationModel, SystemModel
+from .model import InputError, LocationModel, SystemModel, require_joint_size
 from .oracle import GRID_CANDIDATE_LIMIT, _grid_values, _location_combos
 
 
@@ -198,6 +198,7 @@ def make_correlated_instance(num_locations: int, penalty: float) -> SystemModel:
         raise InputError(
             f"penalty must be finite and exceed the location count {k}, got {penalty}"
         )
+    require_joint_size((3,) * k)
 
     good = 1.0 / (k * (k + 1.0))
     ok = (2.0 * k - 1.0) / (k * (k + 1.0))

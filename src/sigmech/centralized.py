@@ -120,7 +120,7 @@ def priority_start(
     If some prior mean ``mu @ util`` is positive this is
     :func:`uninformative_start`, which with ``classes`` is feasible only
     as its spread over orbits, the orbit LP's start; the full LP starts
-    from the class-free start (:func:`priority_basis`).  Otherwise each
+    from the class-free start (no ``classes``).  Otherwise each
     state recommends, among the locations with positive weight and
     nonnegative utility there, one with the largest weight, then the
     largest utility, then the first in ``classes`` order (classes by
@@ -188,17 +188,6 @@ def build_centralized_lp(system: SystemModel, weighted: bool = False) -> LinearP
     require_valid(system)
     weights = np.asarray(system.payoffs if weighted else np.ones(system.num_locations))
     return obedience_lp(system.joint_vector, system.utility_matrix, weights)
-
-
-def uninformative_basis(system: SystemModel) -> np.ndarray:
-    """The uninformative start (see :func:`uninformative_start`) of the system's LP."""
-    return uninformative_start(system.joint_vector, system.utility_matrix)
-
-
-def priority_basis(system: SystemModel, weighted: bool = False) -> np.ndarray:
-    """The payoff-priority start (see :func:`priority_start`) of the system's full LP."""
-    weights = np.asarray(system.payoffs) if weighted else None
-    return priority_start(system.joint_vector, system.utility_matrix, weights)
 
 
 def obedient_strategy(num_locations: int) -> CustomerStrategy:

@@ -20,6 +20,7 @@ from .model import (
     LocationModel,
     SolverError,
     SystemModel,
+    require_joint_size,
     require_valid,
     state_indices,
 )
@@ -84,6 +85,7 @@ def parse_instance(text: str) -> SystemModel:
         if not isinstance(raw_joint, list):
             raise ParseError('"joint_prior" must be an array')
         sizes = tuple(loc.num_states for loc in locations)
+        require_joint_size(sizes)
         table = np.zeros(math.prod(sizes))
         seen = set()
         for i, raw in enumerate(raw_joint):
@@ -245,6 +247,7 @@ def random_joint_system(
     _count_range(num_locations, "num_locations")
     _count_range(states, "states")
     sizes = (states,) * num_locations
+    require_joint_size(sizes)
     raw = rng.uniform(0.0, 1.0, math.prod(sizes))
     table = raw / raw.sum()
 

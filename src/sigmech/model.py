@@ -47,6 +47,14 @@ class SolverError(RuntimeError):
     """Internal solver failure that should never occur on valid input."""
 
 
+def require_joint_size(sizes: Sequence[int]) -> None:
+    """Refuse a joint table over ``sizes`` above JOINT_TABLE_LIMIT entries, before it is built."""
+    if (count := math.prod(sizes)) > JOINT_TABLE_LIMIT:
+        raise InputError(
+            f"joint table with {count} entries exceeds the {JOINT_TABLE_LIMIT}-entry guard"
+        )
+
+
 def state_indices(sizes: Sequence[int]) -> np.ndarray:
     """(prod(sizes), K) int matrix of all index tuples, first coordinate fastest."""
     return np.stack(np.unravel_index(np.arange(math.prod(sizes)), sizes, order="F"), axis=1)
@@ -117,11 +125,7 @@ class SystemModel:
         if not self.locations:
             raise InputError("a system needs at least one location")
         if self.joint is not None:
-            if self.state_count > JOINT_TABLE_LIMIT:
-                raise InputError(
-                    f"joint table with {self.state_count} entries exceeds the "
-                    f"{JOINT_TABLE_LIMIT}-entry guard"
-                )
+            require_joint_size(self.state_sizes)
             object.__setattr__(self, "joint", tuple(float(p) for p in self.joint))
 
     @property

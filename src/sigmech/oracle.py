@@ -229,6 +229,16 @@ def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, 
     computed for a chunk of blocks at once; each block then does one
     GEMM against location 1's grid and the scoring, in buffers allocated
     once per call.
+
+    One join rule serves every payoff: the customer joins when
+    :func:`_system_choice` picks a location (leave is worth 0, ties within
+    TIE_TOL go to the largest payoff, leave beats payoff-0 locations on a
+    tie), its posterior comparisons multiplied through by prob.  With t =
+    TIE_TOL * prob, P the locations paying more than 0, N the others and
+    bar = max(0, max_N wins) - t, it joins iff max_P wins >= bar (a P
+    location ties leave and every N one) or bar > 0 (an N location beats
+    leave).  Rounding is monotone, so bar = max(-t, fl(max_N wins - t))
+    and bar > 0 iff max_N wins > t; with N empty, bar = -t.
     """
     sizes = system.state_sizes
     num_locs = system.num_locations
@@ -239,7 +249,8 @@ def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, 
     # state with location-1 index w_1 and other-locations index r.
     weights = _state_weights(system).reshape(-1, sizes[0], num_locs + 1).transpose(0, 2, 1)
     weights = weights.reshape(-1, (num_locs + 1) * sizes[0])
-    always_join_on_tie = min(system.payoffs) > 0.0
+    positive = [k for k, pay in enumerate(system.payoffs) if pay > 0.0]
+    nonpositive = [k for k, pay in enumerate(system.payoffs) if pay <= 0.0]
 
     halves = [(count + 1) // 2 for count in counts[1:]]
     mirrors = 1 << (num_locs - 1)
@@ -291,26 +302,21 @@ def _folded_best(system: SystemModel, combos: list[np.ndarray]) -> tuple[float, 
             np.matmul(block.reshape(-1, sizes[0]), combos[0].T, out=out)
             prob, wins = out[:size], out[size:].reshape(num_locs, size, head)
             ok, join = lead(valid, size, head), lead(joins, size, head)
-            score = lead(scores, size, head)
+            # The docstring's join rule; bar is held in the score buffer.
+            bar = score = lead(scores, size, head)
+            np.multiply(prob, -TIE_TOL, out=bar)
+            floor = 0.0
+            for k in nonpositive:
+                floor = np.maximum(floor, wins[k], out=lead(spare, size, head))
+            if nonpositive:
+                np.add(bar, floor, out=bar)
+            peak = wins[positive[0]] if positive else -math.inf
+            for k in positive[1:]:
+                peak = np.maximum(peak, wins[k], out=lead(spare, size, head))
+            np.greater_equal(peak, bar, out=join)
+            if nonpositive:
+                np.logical_or(join, np.greater(bar, 0.0, out=ok), out=join)
             np.greater(prob, ZERO_MASS, out=ok)
-            # Two rules, because the fast one pays: on the 12 decentral-oracle
-            # grid instances (best of 5 runs, 2-vCPU x86 VM) the grid search
-            # took 0.28 s with it, 1.71 s with the general rule alone and
-            # 0.40 s with one rule written in mass terms.
-            if always_join_on_tie:
-                # With every payoff positive, the system-favoring best
-                # response joins exactly when some location's posterior
-                # clears the tie tolerance.
-                peak = wins[0]
-                for k in range(1, num_locs):
-                    peak = np.maximum(peak, wins[k], out=lead(spare, size, head))
-                np.multiply(prob, -TIE_TOL, out=score)
-                np.greater_equal(peak, score, out=join)
-            else:
-                utilities = np.concatenate(
-                    [np.zeros((1,) + prob.shape), wins / np.where(ok, prob, 1.0)]
-                )
-                np.not_equal(_system_choice(utilities, system.payoffs), 0, out=join)
             np.logical_and(ok, join, out=ok)
             # prob * keep is np.where(ok, prob, 0.0) up to the sign of a zero
             # score, which no orbit's sum keeps: its members' probabilities
@@ -349,12 +355,8 @@ def grid_search_decentralized(
     must be an integer (within 1e-9), so the grid is closed under
     v -> 1 - v.  Each candidate is scored by best response plus exact
     evaluation, so the result is a lower bound on the optimal
-    decentralized throughput.  The customer acts on posteriors, not on
-    signal names, so signal u's contribution at a candidate is the
-    all-ones signal's contribution at the candidate with every location
-    where u_k = 0 mirrored (sigma_k -> 1 - sigma_k); only the all-ones
-    signal is scored, and the 2^K relabelings are summed by one add per
-    location onto one representative of each mirror orbit.
+    decentralized throughput.  Only the all-ones joint signal is scored,
+    and mirrored for the others (see the module docstring).
 
     Candidates are numbered with location 1's grid point fastest (each
     location's grid points in ``itertools.product`` order of its states),

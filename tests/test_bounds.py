@@ -20,7 +20,7 @@ from sigmech.bounds import (
 )
 from sigmech.centralized import solve_centralized
 from sigmech.decentralized import compose_optimal
-from sigmech.model import InputError, validate
+from sigmech.model import JOINT_TABLE_LIMIT, InputError, validate
 from sigmech.oracle import grid_search_decentralized
 
 
@@ -213,6 +213,13 @@ def test_correlated_instance_structure():
         make_correlated_instance(2, 2.0)
     with pytest.raises(InputError):
         make_correlated_instance(1, 10.0)
+
+
+def test_correlated_instance_refuses_a_joint_table_over_the_guard():
+    # 3^41 entries: numpy refused the dense table before the guard was reached.
+    guard = f"joint table with {3**41} entries exceeds the {JOINT_TABLE_LIMIT}-entry guard"
+    with pytest.raises(InputError, match=guard):
+        make_correlated_instance(41, 1000.0)
 
 
 def test_correlated_instance_centralized_throughput_is_one():

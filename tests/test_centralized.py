@@ -18,10 +18,8 @@ from sigmech.centralized import (
     lp_orbits,
     obedient_strategy,
     orbit_lp,
-    priority_basis,
     priority_start,
     solve_centralized,
-    uninformative_basis,
     uninformative_start,
 )
 from sigmech.decentralized import compose_optimal
@@ -222,7 +220,7 @@ def test_warm_start_matches_two_phase_solve(seed, kind, weighted):
     system = _random_system(seed, kind)
     lp = build_centralized_lp(system, weighted)
     start = np.zeros(lp.n_vars)
-    start[uninformative_basis(system)] = 1.0
+    start[uninformative_start(system.joint_vector, system.utility_matrix)] = 1.0
     assert violation_at(lp, start) <= 1e-12
     reference = _highs_optimum(lp)
     _, report = solve_centralized(system, weighted)
@@ -291,14 +289,15 @@ def test_priority_start_is_feasible_and_no_worse_than_uninformative(seed, kind, 
     system = _start_system(seed, kind)
     lp = build_centralized_lp(system, weighted)
     mu, util, classes = system.joint_vector, system.utility_matrix, system.location_classes
-    start = priority_start(mu, util, np.asarray(system.payoffs) if weighted else None, classes)
+    weights = np.asarray(system.payoffs) if weighted else None
+    start = priority_start(mu, util, weights, classes)
     point = np.zeros(lp.n_vars)
     point[start] = 1.0
     if (mu @ util).max() <= 0.0:
         assert violation_at(lp, point) <= FEAS_TOL
     # The full LP starts from the class-free start.
     full_start = np.zeros(lp.n_vars)
-    full_start[priority_basis(system, weighted)] = 1.0
+    full_start[priority_start(mu, util, weights)] = 1.0
     assert violation_at(lp, full_start) <= FEAS_TOL
     leave = np.zeros(lp.n_vars)
     leave[uninformative_start(mu, util, classes)] = 1.0
@@ -312,7 +311,7 @@ def test_priority_start_is_feasible_and_no_worse_than_uninformative(seed, kind, 
     assert violation_at(reduced, spread) <= FEAS_TOL
 
     reference = _highs_optimum(lp)
-    full = solve(lp, priority_basis(system, weighted)).objective_value
+    full = solve(lp, priority_start(mu, util, weights)).objective_value
     _, report = solve_centralized(system, weighted)
     assert abs(full - reference) <= 1e-9
     assert abs((report.value if weighted else report.throughput) - reference) <= 1e-9
@@ -333,11 +332,13 @@ def test_priority_start_falls_back_to_equal_weights_under_a_joint_prior():
     by_payoff[[0, 3 + 1, 6 + 2, 9 + 1]] = 1.0  # leave, a, b, a
     assert violation_at(lp, by_payoff) == pytest.approx(0.1)
 
-    basis = priority_basis(system, weighted=True)
+    mu, util = system.joint_vector, system.utility_matrix
+    basis = priority_start(mu, util, np.asarray(system.payoffs))
     assert basis.tolist() == [0, 3 + 1, 6 + 2, 9 + 2]  # full information: b on 11
-    assert basis.tolist() == priority_basis(system).tolist()
+    assert basis.tolist() == priority_start(mu, util).tolist()
     value = solve(lp, basis).objective_value
-    assert value == pytest.approx(solve(lp, uninformative_basis(system)).objective_value, abs=1e-12)
+    leave = solve(lp, uninformative_start(mu, util)).objective_value
+    assert value == pytest.approx(leave, abs=1e-12)
     _, report = solve_centralized(system, weighted=True)
     assert abs(report.value - value) <= 1e-12
 
@@ -346,10 +347,9 @@ def test_uninformative_basis_recommends_the_best_positive_mean():
     sunny = LocationModel("sunny", ("bad", "good"), (0.2, 0.8), (-1.0, 1.0))
     sunnier = LocationModel("sunnier", ("bad", "good"), (0.1, 0.9), (-1.0, 1.0))
     gloomy = LocationModel("gloomy", ("bad", "good"), (0.8, 0.2), (-1.0, 1.0))
-    basis = uninformative_basis(SystemModel((sunny, sunnier)))
-    assert basis.tolist() == [3 * w + 2 for w in range(4)]
-    basis = uninformative_basis(SystemModel((gloomy, gloomy)))
-    assert basis.tolist() == [3 * w for w in range(4)]
+    for system, best in ((SystemModel((sunny, sunnier)), 2), (SystemModel((gloomy, gloomy)), 0)):
+        basis = uninformative_start(system.joint_vector, system.utility_matrix)
+        assert basis.tolist() == [3 * w + best for w in range(4)]
 
 
 def test_former_k6_stall_instance_solves_to_decentralized_optimum():
@@ -363,7 +363,8 @@ def test_former_k6_stall_instance_solves_to_decentralized_optimum():
 
 def _full_lp_optimum(system: SystemModel) -> float:
     """The optimum of the full obedience LP, solved without the orbit reduction."""
-    return solve(build_centralized_lp(system), uninformative_basis(system)).objective_value
+    start = uninformative_start(system.joint_vector, system.utility_matrix)
+    return solve(build_centralized_lp(system), start).objective_value
 
 
 def test_correlated_k7_solves_to_full_throughput():
@@ -419,7 +420,8 @@ def test_random_three_state_k8_full_lp_solves_from_the_priority_start():
     # start it takes about 1000 pivots and 1 s.
     system = _dirichlet_system(np.random.default_rng([0, 8]), 8)
     assert max(loc.expected_utility() for loc in system.locations) < 0.0
-    value = solve(build_centralized_lp(system), priority_basis(system)).objective_value
+    start = priority_start(system.joint_vector, system.utility_matrix)
+    value = solve(build_centralized_lp(system), start).objective_value
     assert abs(value - 1.0) <= 1e-9
 
 
@@ -594,7 +596,8 @@ def test_orbit_lp_matches_the_full_lp_and_highs(seed, joint, payoffs, weighted):
     mech, report = solve_centralized(system, weighted)
     value = report.value if weighted else report.throughput
 
-    full = solve(lp, uninformative_basis(system)).objective_value
+    start = uninformative_start(system.joint_vector, system.utility_matrix)
+    full = solve(lp, start).objective_value
     assert abs(value - full) <= 1e-9
     assert abs(value - _highs_optimum(lp)) <= 1e-9
 
@@ -620,7 +623,7 @@ def test_orbit_lp_of_an_asymmetric_system_is_the_full_lp():
         start = priority_start(
             system.joint_vector, system.utility_matrix, weights, system.location_classes
         )
-        basis = priority_basis(system, weighted)
+        basis = priority_start(system.joint_vector, system.utility_matrix, weights)
         assert np.array_equal(orbits.columns[start[orbits.states]], basis)
         mech, _ = solve_centralized(system, weighted)
         x = solve(lp, basis).x
@@ -641,6 +644,7 @@ def test_only_interchangeable_locations_reach_the_orbit_reduction(monkeypatch):
         _, report = solve_centralized(system, weighted)
         value = report.value if weighted else report.throughput
         lp = build_centralized_lp(system, weighted)
-        assert abs(value - solve(lp, uninformative_basis(system)).objective_value) <= 1e-9
+        start = uninformative_start(system.joint_vector, system.utility_matrix)
+        assert abs(value - solve(lp, start).objective_value) <= 1e-9
     with pytest.raises(AssertionError, match="orbit reduction called"):
         solve_centralized(make_tightness_instance(3, 10.0).system)

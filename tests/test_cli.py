@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sigmech
 from sigmech.bounds import make_correlated_instance, make_tightness_instance
 from sigmech.cli import LP_SIZE_CAP, main
 from sigmech.instances import (
@@ -16,7 +21,7 @@ from sigmech.instances import (
     random_independent_system,
     write_instance,
 )
-from sigmech.model import LocationModel, SystemModel
+from sigmech.model import JOINT_TABLE_LIMIT, InputError, LocationModel, SystemModel
 
 
 @pytest.fixture()
@@ -403,6 +408,53 @@ def test_unwritable_output_exits_2_with_one_line(runner, tmp_path):
     [line] = result.stderr.splitlines()
     assert line.startswith("error: [Errno 2] No such file or directory")
     assert isinstance(result.exception, SystemExit)  # no FileNotFoundError traceback
+
+
+def _joint_guard_line(entries: int) -> str:
+    return f"error: joint table with {entries} entries exceeds the {JOINT_TABLE_LIMIT}-entry guard"
+
+
+def test_correlated_bound_over_the_joint_guard_exits_2_with_one_line(runner):
+    # 2^64 entries: numpy refused the uniform draw before the guard was reached.
+    result = runner.invoke(main, ["verify", "correlated-bound", "--K", "64..64", "--trials", "1"])
+    _one_error_line(result, 2)
+    assert result.stderr.splitlines() == [_joint_guard_line(2**64)]
+
+
+def test_correlated_bound_refuses_the_joint_table_before_allocating_it():
+    # At K=24 the draw and the 3 GiB state-index matrix came before the
+    # guard, so under a 2 GiB address-space limit the run ran out of memory.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmech.cli", "verify", "correlated-bound",
+         "--K", "24..24", "--trials", "1"],
+        cwd=Path(sigmech.__file__).resolve().parent.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [_joint_guard_line(2**24)]
+
+
+def test_instance_joint_prior_over_the_guard_exits_2_with_one_line(runner, tmp_path):
+    # 10^30 state tuples: the dense table was allocated before the guard.
+    states = [f"s{i}" for i in range(10)]
+    location = {"states": states, "prior": [0.1] * 10, "utility": [1.0] * 10}
+    doc = {
+        "locations": [{"name": f"l{k}", **location} for k in range(30)],
+        "joint_prior": [{"state": ["s0"] * 30, "prob": 1.0}],
+    }
+    with pytest.raises(InputError, match=_joint_guard_line(10**30)[len("error: "):]):
+        parse_instance(json.dumps(doc))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["solve", str(path)])
+    _one_error_line(result, 2)
+    assert result.stderr.splitlines() == [_joint_guard_line(10**30)]
 
 
 def test_verify_failure_prints_replayable_instance(runner, monkeypatch):

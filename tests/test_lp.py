@@ -205,12 +205,13 @@ def test_grouped_random_lps_take_every_basis_change(monkeypatch):
 def test_tableau_holds_only_the_matrix_rows():
     """Column groups stay out of the tableau: K^2 + K rows plus the cost row."""
     from sigmech.bounds import make_tightness_instance
-    from sigmech.centralized import build_centralized_lp, uninformative_basis
+    from sigmech.centralized import build_centralized_lp, uninformative_start
     from sigmech.lp import _warm_tableau
 
     system = make_tightness_instance(9, 10.0).system
     lp = build_centralized_lp(system)
-    tableau = _warm_tableau(lp, uninformative_basis(system), cap=1)
+    start = uninformative_start(system.joint_vector, system.utility_matrix)
+    tableau = _warm_tableau(lp, start, cap=1)
     assert lp.num_groups == system.state_count == 512
     assert tableau.T.shape == (9 * 9 + 9 + 1, lp.n_vars + lp.n_constraints + 1)
 

@@ -382,9 +382,12 @@ def _naive_grid_value(system, resolution):
         (lambda rng: _with_payoffs(random_independent_system(rng, 2, 2), (-0.5, 1.5)), 0.25),
         (lambda rng: _with_payoffs(random_joint_system(rng, 2, 2), (1.5, -0.5)), 0.25),
         (lambda rng: _with_payoffs(random_joint_system(rng, 3, 2), (1.0, -0.5, 2.0)), 0.5),
+        (lambda rng: _with_payoffs(random_joint_system(rng, 2, 2), (-0.5, 0.0)), 0.25),
+        (lambda rng: _with_payoffs(random_independent_system(rng, 2, 2), (0.0, 1.0)), 0.25),
     ],
     ids=["K1-three-states", "three-binary-locations", "K1-resolution-half",
-         "states-2-3", "mixed-sign-independent", "mixed-sign-joint", "mixed-sign-joint-K3"],
+         "states-2-3", "mixed-sign-independent", "mixed-sign-joint", "mixed-sign-joint-K3",
+         "all-nonpositive", "zero-beside-positive"],
 )
 def test_folded_grid_search_equals_naive_candidate_loop(make, resolution):
     # The fold scores only the all-ones signal and mirrors it for the
@@ -396,6 +399,24 @@ def test_folded_grid_search_equals_naive_candidate_loop(make, resolution):
         assert found == pytest.approx(_naive_grid_value(system, resolution), abs=1e-12)
         check = evaluate(system, mech, best_response(system, mech))
         assert check.throughput == pytest.approx(found, abs=1e-12)
+
+
+def test_grid_search_scores_every_payoff_without_the_choice_rule(monkeypatch):
+    # The block loop's join rule is written in mass terms for every payoff;
+    # _system_choice serves best_response, which the check below calls.
+    import sigmech.oracle as oracle
+
+    system = _with_payoffs(random_joint_system(np.random.default_rng(22), 3, 2), (1.0, -0.5, 0.0))
+
+    def refuse(*args):
+        raise AssertionError("the grid search called _system_choice")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_system_choice", refuse)
+        mech, found = grid_search_decentralized(system, 0.5)
+    assert found == pytest.approx(_naive_grid_value(system, 0.5), abs=1e-12)
+    check = evaluate(system, mech, best_response(system, mech))
+    assert check.throughput == pytest.approx(found, abs=1e-12)
 
 
 def test_grid_search_with_small_blocks_matches_default(monkeypatch):
